@@ -14,12 +14,12 @@ revert the group if the energy still rises) so accepted traces are
 non-increasing up to the configured tolerance.
 """
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from typing import List, Optional
 
 import numpy as np
 
-from . import energy, field, shape_prior
+from . import energy, field, io, shape_prior
 from .energy import EnergyBreakdown, EnergyWeights
 from .shape_prior import Pose, ShapeModel
 
@@ -40,16 +40,17 @@ class DescentConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("dt_phi", "step_lambda", "step_pose", "fd_h", "tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_iters", "inner_ms_iters", "record_every"):
-            if name != "max_iters" and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be >= 0")
-        if self.tol >= 1:
-            raise ValueError("tol must be < 1")
+        # chained comparisons are False for NaN, so NaN fails every check
+        for name in ("dt_phi", "step_lambda", "step_pose", "fd_h"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("inner_ms_iters", "record_every"):
+            if not 1 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 1")
+        if not 0 <= self.max_iters < np.inf:
+            raise ValueError("max_iters must be finite and >= 0")
+        if not 0 < self.tol < 1:
+            raise ValueError("tol must be in (0, 1)")
 
 
 @dataclass
@@ -341,33 +342,14 @@ def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:
 
 def config_to_kv(w: EnergyWeights, cfg: DescentConfig) -> str:
     """Serialize a fully resolved configuration, every default materialized."""
-    pairs = [(k, getattr(w, k)) for k in
-             ("alpha", "xi", "gamma", "beta", "nu", "mu", "zeta", "eta", "sigma", "eps")]
-    pairs += [(k, getattr(cfg, k)) for k in
-              ("dt_phi", "step_lambda", "step_pose", "fd_h", "max_iters",
-               "tol", "inner_ms_iters", "record_every")]
-    return "".join(f"{k}={v!r}\n" for k, v in pairs)
+    return "".join(f"{k}={v}\n" for k, v in {**asdict(w), **asdict(cfg)}.items())
 
 
 def config_from_kv(text: str):
     """Parse a flat key=value config into (EnergyWeights, DescentConfig)."""
-    kv = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
-    w_kwargs = {}
-    c_kwargs = {}
-    int_keys = {"max_iters", "inner_ms_iters", "record_every"}
-    for key, val in kv.items():
-        if key in EnergyWeights.__dataclass_fields__:
-            w_kwargs[key] = float(val)
-        elif key in DescentConfig.__dataclass_fields__:
-            c_kwargs[key] = int(val) if key in int_keys else float(val)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return EnergyWeights(**w_kwargs), DescentConfig(**c_kwargs)
+    w_fields = EnergyWeights.__dataclass_fields__
+    c_fields = DescentConfig.__dataclass_fields__
+    kv = io.parse_kv(text, "config",
+                     {k: f.type for k, f in {**w_fields, **c_fields}.items()})
+    return (EnergyWeights(**{k: v for k, v in kv.items() if k in w_fields}),
+            DescentConfig(**{k: v for k, v in kv.items() if k in c_fields}))

@@ -50,12 +50,13 @@ class EnergyWeights:
     eps: float = 1.5       # Heaviside/Dirac regularization width
 
     def __post_init__(self):
+        # chained comparisons are False for NaN, so NaN fails every check
         for name in ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         for name in ("mu", "zeta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
 
 
 @dataclass

@@ -1,4 +1,5 @@
-"""Image and table codecs: PGM (P2/P5), contour CSV, energy-trace CSV.
+"""Image and table codecs: PGM (P2/P5), contour CSV, energy-trace CSV, and
+the flat key=value line format shared by run configs and scene specs.
 
 Pixel values map to field reals without scaling (0..255 stays 0..255).
 Floats in CSV output are printed with 17 significant digits so re-parsing is
@@ -116,6 +117,27 @@ def trace_to_csv(trace: List[EnergyBreakdown], record_every: int = 1) -> str:
         lines.append(",".join([str(it)] + [_fmt(v) for v in
                                            (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)]))
     return "\n".join(lines) + "\n"
+
+
+def parse_kv(text: str, kind: str, types: dict) -> dict:
+    """Parse ``key=value`` lines, converting each value with ``types[key]``.
+
+    ``#`` starts a comment, blank lines are skipped and a later key overrides
+    an earlier one; ``kind`` names the format in error messages.
+    """
+    kv = {}
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"malformed {kind} line: {raw!r}")
+        key, val = line.split("=", 1)
+        key = key.strip()
+        if key not in types:
+            raise ValueError(f"unknown {kind} key {key!r}")
+        kv[key] = val.strip()
+    return {key: types[key](val) for key, val in kv.items()}
 
 
 def overlay(image: np.ndarray, contours: List[Contour]) -> np.ndarray:

@@ -11,6 +11,7 @@ import struct
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy import ndimage
 
 from . import field
 
@@ -31,53 +32,6 @@ def as_mask(data) -> np.ndarray:
     return m
 
 
-def _edt_1d_sq(f: np.ndarray) -> np.ndarray:
-    """Lower-envelope 1D squared distance transform along the last axis.
-
-    ``f`` holds per-site squared costs (0 at sites, a large finite sentinel
-    elsewhere); returns min over j of f[j] + (i - j)^2 for every i.
-    """
-    n = f.shape[-1]
-    out = np.empty_like(f)
-    for r in range(f.shape[0]):
-        row = f[r]
-        v = np.empty(n, dtype=np.intp)      # parabola sites
-        z = np.empty(n + 1, dtype=np.float64)  # envelope breakpoints
-        k = 0
-        v[0] = 0
-        z[0] = -np.inf
-        z[1] = np.inf
-        for q in range(1, n):
-            s = ((row[q] + q * q) - (row[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-            while s <= z[k]:
-                k -= 1
-                s = ((row[q] + q * q) - (row[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-            k += 1
-            v[k] = q
-            z[k] = s
-            z[k + 1] = np.inf
-        k = 0
-        for q in range(n):
-            while z[k + 1] < q:
-                k += 1
-            out[r, q] = (q - v[k]) ** 2 + row[v[k]]
-    return out
-
-
-def edt_sq(sites: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance to the nearest True pixel (two separable passes)."""
-    sites = np.asarray(sites, dtype=bool)
-    if not sites.any():
-        raise ValueError("no sites for distance transform")
-    h, w = sites.shape
-    # finite sentinel larger than any attainable squared distance keeps the
-    # envelope arithmetic free of inf - inf
-    f = np.where(sites, 0.0, 2.0 * (h * h + w * w) + 1.0)
-    d = _edt_1d_sq(f)           # along x
-    d = _edt_1d_sq(d.T).T       # along y
-    return d
-
-
 def sdf_from_mask(m) -> np.ndarray:
     """Signed Euclidean distance field of a mask, negative inside.
 
@@ -86,8 +40,8 @@ def sdf_from_mask(m) -> np.ndarray:
     complementing the mask exactly negates the result.
     """
     m = as_mask(m)
-    d_out = np.sqrt(edt_sq(m)) - 0.5       # distance for outside pixels
-    d_in = np.sqrt(edt_sq(~m)) - 0.5       # distance for inside pixels
+    d_out = ndimage.distance_transform_edt(~m) - 0.5   # distance for outside pixels
+    d_in = ndimage.distance_transform_edt(m) - 0.5     # distance for inside pixels
     return np.where(m, -d_in, d_out)
 
 
@@ -190,9 +144,6 @@ class ShapeModel:
         d = (sdf - self.mean).ravel()
         return self.modes.reshape(self.p, -1) @ d
 
-    def clamp_lambda(self, lam: np.ndarray) -> np.ndarray:
-        return np.clip(lam, self.lambda_box[:, 0], self.lambda_box[:, 1])
-
 
 def build_shape_model(sdfs, p: int, lambda_box_scale: str = "stddev") -> ShapeModel:
     """PCA over a stack of SDFs via the N x N Gram matrix.
@@ -269,19 +220,22 @@ def write_smdl(model: ShapeModel, path, n_training: int = 0) -> None:
 def read_smdl(path) -> ShapeModel:
     """Read a shape model written by :func:`write_smdl`."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SMDL_MAGIC:
-            raise ValueError(f"bad SMDL magic: {magic!r}")
-        version, w, h, _n, p = struct.unpack("<IIIII", fh.read(20))
-        if version != 1:
-            raise ValueError(f"unsupported SMDL version {version}")
-        m = w * h
-        mean = np.frombuffer(fh.read(8 * m), dtype="<f8").reshape(h, w).copy()
-        modes = np.stack([
-            np.frombuffer(fh.read(8 * m), dtype="<f8").reshape(h, w).copy()
-            for _ in range(p)
-        ])
-        variances = np.frombuffer(fh.read(8 * p), dtype="<f8").copy()
-        center_flag, _cx, _cy = struct.unpack("<ddd", fh.read(24))
-    return ShapeModel(mean=mean, modes=modes, variances=variances,
-                      center_on_domain=center_flag != 0.0)
+        data = fh.read()
+    if data[:4] != SMDL_MAGIC:
+        raise ValueError(f"bad SMDL magic: {data[:4]!r}")
+    if len(data) < 24:
+        raise ValueError("truncated SMDL header")
+    version, w, h, _n, p = struct.unpack_from("<IIIII", data, 4)
+    if version != 1:
+        raise ValueError(f"unsupported SMDL version {version}")
+    if p < 1:
+        raise ValueError("SMDL model has no modes")
+    m = w * h
+    count = m * (1 + p) + p + 3     # mean, modes, variances, 3-double trailer
+    if len(data) < 24 + 8 * count:
+        raise ValueError("truncated SMDL data")
+    vals = np.frombuffer(data, dtype="<f8", count=count, offset=24).astype(np.float64)
+    return ShapeModel(mean=vals[:m].reshape(h, w),
+                      modes=vals[m:m * (1 + p)].reshape(p, h, w),
+                      variances=vals[m * (1 + p):-3],
+                      center_on_domain=bool(vals[-3] != 0.0))

@@ -16,21 +16,25 @@ from typing import Optional
 
 import numpy as np
 
+from . import io
+
 _MASK64 = (1 << 64) - 1
 
 
 def splitmix64_uniforms(seed: int, count: int) -> np.ndarray:
-    """``count`` uniform doubles in [0, 1) from a splitmix64 stream."""
-    state = seed & _MASK64
-    out = np.empty(count, dtype=np.float64)
-    for i in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        z = z ^ (z >> 31)
-        out[i] = (z >> 11) * 2.0 ** -53
-    return out
+    """``count`` uniform doubles in [0, 1) from a splitmix64 stream.
+
+    Computed in closed form on wrapping uint64 arrays: the k-th state is
+    seed + k * 0x9E3779B97F4A7C15 (mod 2^64), k = 1..count.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    k = np.arange(1, count + 1, dtype=np.uint64)
+    z = np.uint64(seed & _MASK64) + k * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0 ** -53
 
 
 def gaussian_noise(seed: int, count: int) -> np.ndarray:
@@ -151,44 +155,23 @@ def ellipse_training_set(n: int, a_range, b_range, width: int, height: int,
 
 # flat key=value serialization, shared with the run-config format
 
+def _parse_tuple(s: str) -> tuple:
+    parts = s.split(",")
+    return (parts[0],) + tuple(float(p) for p in parts[1:])
+
+
 def scene_to_kv(spec: SceneSpec) -> str:
-    lines = [
-        f"width={spec.width}",
-        f"height={spec.height}",
-        "shape=" + ",".join(str(v) for v in spec.shape),
-        f"fg={spec.fg!r}",
-        f"bg={spec.bg!r}",
-        f"noise_std={spec.noise_std!r}",
-        f"noise_seed={spec.noise_seed}",
-    ]
-    if spec.occlusion is not None:
-        lines.append("occlusion=" + ",".join(str(v) for v in spec.occlusion))
+    lines = []
+    for name in SceneSpec.__dataclass_fields__:
+        val = getattr(spec, name)
+        if isinstance(val, tuple):
+            val = ",".join(str(v) for v in val)
+        if val is not None:
+            lines.append(f"{name}={val}")
     return "\n".join(lines) + "\n"
 
 
 def scene_from_kv(text: str) -> SceneSpec:
-    kv = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed scene line: {raw!r}")
-        key, val = line.split("=", 1)
-        kv[key.strip()] = val.strip()
-
-    def parse_tuple(s):
-        parts = s.split(",")
-        return (parts[0],) + tuple(float(p) for p in parts[1:])
-
-    spec = SceneSpec(
-        width=int(kv.get("width", 128)),
-        height=int(kv.get("height", 128)),
-        shape=parse_tuple(kv["shape"]) if "shape" in kv else SceneSpec.shape,
-        fg=float(kv.get("fg", 200.0)),
-        bg=float(kv.get("bg", 50.0)),
-        noise_std=float(kv.get("noise_std", 0.0)),
-        noise_seed=int(kv.get("noise_seed", 0)),
-        occlusion=parse_tuple(kv["occlusion"]) if "occlusion" in kv else None,
-    )
-    return spec
+    types = {k: f.type for k, f in SceneSpec.__dataclass_fields__.items()}
+    types["shape"] = types["occlusion"] = _parse_tuple
+    return SceneSpec(**io.parse_kv(text, "scene", types))

@@ -166,6 +166,42 @@ class TestExitCodes:
         assert run_cli(["energy", "--image", str(p), "--phi", str(p),
                         "--config", str(p)]) == 2
 
+    def test_non_finite_config_is_data_error(self, tmp_path, capsys):
+        scene, _ = write_scene(tmp_path)
+        img_p = tmp_path / "img.pgm"
+        run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
+                 "--out-truth", str(tmp_path / "t.pgm")])
+        cfg = tmp_path / "nan.txt"
+        cfg.write_text("alpha=nan\ntol=nan\ndt_phi=inf\n")
+        capsys.readouterr()
+        code = run_cli(["segment", "--image", str(img_p), "--config", str(cfg),
+                        "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+
+    def test_truncated_model_is_data_error(self, tmp_path, capsys):
+        masks = []
+        for r in (8, 10, 12):
+            p = tmp_path / f"m{r}.pgm"
+            io.write_pgm(np.where(synth.render(synth.SceneSpec(
+                width=32, height=32, shape=("disk", 15.5, 15.5, float(r))))[1], 255.0, 0.0), p)
+            masks.append(str(p))
+        model = tmp_path / "model.smdl"
+        assert run_cli(["build-model", "--masks", *masks, "--modes", "2",
+                        "--out", str(model)]) == 0
+        data = model.read_bytes()
+        phi = tmp_path / "phi.sfld"
+        field.write_sfld(np.zeros((32, 32)), phi)
+        for cut in (10, 24 + 8 * 32 * 32, len(data) - 1):
+            model.write_bytes(data[:cut])
+            capsys.readouterr()
+            code = run_cli(["energy", "--image", masks[0], "--phi", str(phi),
+                            "--model", str(model),
+                            "--config", str(write_config(tmp_path))])
+            assert code == 2
+            assert "truncated SMDL" in capsys.readouterr().err
+
     def test_numerical_abort_code(self, tmp_path, monkeypatch, capsys):
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"

@@ -328,6 +328,11 @@ class TestConfigKv:
         cfg = DescentConfig(max_iters=77, tol=1e-5)
         w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
         assert w2 == w and c2 == cfg
+        # NumPy scalars serialize as plain numbers too
+        w = EnergyWeights(alpha=np.float64(0.1), gamma=np.float32(0.5))
+        cfg = DescentConfig(max_iters=np.int64(77), tol=np.float64(1e-5))
+        w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
+        assert w2 == w and c2 == cfg
 
     def test_comments_and_blanks(self):
         text = descent.config_to_kv(EnergyWeights(), DescentConfig())
@@ -346,3 +351,9 @@ class TestConfigKv:
     def test_validation_applies(self):
         with pytest.raises(ValueError):
             descent.config_from_kv("alpha=-1\n")
+
+    @pytest.mark.parametrize("text", ["alpha=nan\ntol=nan\ndt_phi=inf\n",
+                                      "tol=nan\n", "dt_phi=inf\n", "zeta=inf\n"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValueError):
+            descent.config_from_kv(text)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapeseg import field, shape_prior, synth
 from shapeseg.shape_prior import Pose
@@ -49,6 +51,20 @@ class TestSdfFromMask:
             shape_prior.sdf_from_mask(np.ones((8, 8), dtype=bool))
         with pytest.raises(ValueError):
             shape_prior.sdf_from_mask(np.zeros((8, 8), dtype=bool))
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
+           .filter(lambda m: m.any() and not m.all()))
+    def test_matches_brute_force(self, m):
+        # exact distance to the nearest opposite pixel, minus the half pixel
+        ys, xs = np.indices(m.shape)
+        want = np.empty(m.shape)
+        for y, x in np.ndindex(m.shape):
+            opp = m != m[y, x]
+            d2 = np.min((ys[opp] - y) ** 2 + (xs[opp] - x) ** 2)
+            d = np.sqrt(float(d2)) - 0.5
+            want[y, x] = -d if m[y, x] else d
+        assert np.array_equal(shape_prior.sdf_from_mask(m), want)
 
 
 class TestBuildShapeModel:
@@ -217,6 +233,19 @@ class TestSmdlFormat:
         p2 = tmp_path / "m2.smdl"
         shape_prior.write_smdl(back, p2, n_training=5)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated(self, tmp_path):
+        # 96x96 grids, p=2: header ends at 24, trailer starts at 24 + 3 grids + 16
+        model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
+        p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(model, p, n_training=3)
+        data = p.read_bytes()
+        grid = 8 * 96 * 96
+        for cut in (6, 23, 24 + grid // 2, 24 + 2 * grid + 8,
+                    24 + 3 * grid + 8, len(data) - 1):
+            p.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated SMDL"):
+                shape_prior.read_smdl(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.smdl"

@@ -20,6 +20,28 @@ class TestSplitmix64:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 63, 2 ** 64 - 1])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_matches_scalar_recurrence(self, seed, count):
+        # the module docstring's recurrence, in Python ints
+        mask = (1 << 64) - 1
+        state = seed
+        want = []
+        for _ in range(count):
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            z ^= z >> 31
+            want.append((z >> 11) * 2.0 ** -53)
+        got = synth.splitmix64_uniforms(seed, count)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert np.array_equal(got, want)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            synth.splitmix64_uniforms(0, -1)
+
     def test_range_and_mean(self):
         u = synth.splitmix64_uniforms(7, 10000)
         assert np.all((u >= 0) & (u < 1))
@@ -147,3 +169,7 @@ class TestSceneKv:
     def test_malformed(self):
         with pytest.raises(ValueError, match="malformed"):
             synth.scene_from_kv("width 64\n")
+
+    def test_unknown_key(self):
+        with pytest.raises(ValueError, match="unknown"):
+            synth.scene_from_kv("widht=64\n")
