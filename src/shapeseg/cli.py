@@ -101,7 +101,7 @@ def _cmd_segment(args) -> int:
     io.write_pgm(io.overlay(image, cs), out / "overlay.pgm")
     (out / "trace.csv").write_text(io.trace_to_csv(state.trace, cfg.record_every))
     (out / "config.txt").write_text(descent.config_to_kv(w, cfg))
-    total = state.trace[-1].total if state.trace else float("nan")
+    total = float("nan") if state.energy is None else state.energy
     print(f"segment: {state.iter} iterations, {len(cs)} contours, "
           f"final energy {total:.6g}")
     return 0

@@ -34,7 +34,7 @@ def _interp(p0, p1, v0, v1):
 
 
 def _cell_segments(x, y, phi):
-    """Zero-crossing segments inside cell (x, y) as pairs of edge-keyed points.
+    """Zero-crossing segments inside crossing cell (x, y) as pairs of edge-keyed points.
 
     Edge keys are ('h', x, y) for the horizontal edge from (x,y) to (x+1,y)
     and ('v', x, y) for the vertical edge from (x,y) to (x,y+1).
@@ -46,8 +46,6 @@ def _cell_segments(x, y, phi):
     # value 0 counts as non-negative ("outside"), consistently everywhere
     s00, s10, s01, s11 = (v < 0 for v in (v00, v10, v01, v11))
     code = s00 * 1 + s10 * 2 + s11 * 4 + s01 * 8
-    if code in (0, 15):
-        return []
 
     top = (("h", x, y), _interp((x, y), (x + 1, y), v00, v10))
     bottom = (("h", x, y + 1), _interp((x, y + 1), (x + 1, y + 1), v01, v11))
@@ -80,16 +78,19 @@ def _cell_segments(x, y, phi):
 
 def extract_contours(phi: np.ndarray) -> List[Contour]:
     """All zero-level-set contours of a field, in discovery order."""
-    h, w = phi.shape
+    neg = phi < 0
+    corner = neg[:-1, :-1]
+    # a cell crosses zero when some corner's sign differs from the others
+    crossing = (neg[:-1, 1:] != corner) | (neg[1:, :-1] != corner) | (neg[1:, 1:] != corner)
     segments = []          # (edge_key_a, point_a, edge_key_b, point_b)
     by_edge = {}           # edge_key -> list of segment indices
-    for y in range(h - 1):
-        for x in range(w - 1):
-            for (ka, pa), (kb, pb) in _cell_segments(x, y, phi):
-                idx = len(segments)
-                segments.append((ka, pa, kb, pb))
-                by_edge.setdefault(ka, []).append(idx)
-                by_edge.setdefault(kb, []).append(idx)
+    ys, xs = np.nonzero(crossing)      # scanline order
+    for y, x in zip(ys.tolist(), xs.tolist()):
+        for (ka, pa), (kb, pb) in _cell_segments(x, y, phi):
+            idx = len(segments)
+            segments.append((ka, pa, kb, pb))
+            by_edge.setdefault(ka, []).append(idx)
+            by_edge.setdefault(kb, []).append(idx)
 
     used = [False] * len(segments)
     contours = []

@@ -62,6 +62,7 @@ class SegmentationState:
     i_out: Optional[np.ndarray] = None
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
+    energy: Optional[float] = None   # accepted total energy, set by step
 
 
 def far_outside(shape) -> float:
@@ -119,10 +120,13 @@ def grad_phi_total(state: SegmentationState, image, g, model,
 
 def _param_boxes(model: ShapeModel, pose: Pose):
     """(lo, hi) bounds for the packed (lambda..., tau, theta, tx, ty) vector."""
-    lo = np.concatenate([model.lambda_box[:, 0],
-                         [pose.tau_min, -np.pi, -255.0, -255.0]])
-    hi = np.concatenate([model.lambda_box[:, 1],
-                         [pose.tau_max, np.pi, 255.0, 255.0]])
+    # a placement that keeps part of the prior on the grid needs |T| of at most
+    # (1 + tau_max) diagonals, under the centred and the origin-centred map
+    h, w = model.mean.shape
+    t = (1.0 + pose.tau_max) * np.hypot(w - 1, h - 1)
+    box = model.lambda_box
+    lo = np.concatenate([box[:, 0], [pose.tau_min, -np.pi, -t, -t]])
+    hi = np.concatenate([box[:, 1], [pose.tau_max, np.pi, t, t]])
     return lo, hi
 
 
@@ -173,7 +177,11 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     if mu < 0:
         raise ValueError("mu must be non-negative")
     h, w = image.shape
-    j = warm.astype(np.float64).copy()
+    # j lives inside a zero border, so its four neighbours are plain views
+    jp = np.zeros((h + 2, w + 2))
+    j = jp[1:-1, 1:-1]
+    j[...] = warm
+    jr, jl, jd, ju = jp[1:-1, 2:], jp[1:-1, :-2], jp[2:, 1:-1], jp[:-2, 1:-1]
     # neighbor weights entering each pixel's normal equation
     wl = np.zeros_like(wgt); wl[:, 1:] = wgt[:, :-1]   # w at left neighbor
     wu = np.zeros_like(wgt); wu[1:, :] = wgt[:-1, :]   # w at upper neighbor
@@ -181,21 +189,15 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     nf[:, -1] -= 1.0
     nf[-1, :] -= 1.0
     diag = wgt + mu * (wgt * nf + wl + wu)
+    safe = np.where(diag > 0, diag, 1.0)
+    wi = wgt * image
     ys, xs = np.mgrid[0:h, 0:w]
-    colors = [(xs + ys) % 2 == 0, (xs + ys) % 2 == 1]
+    colors = [((xs + ys) % 2 == c) & (diag > 0) for c in (0, 1)]
     for _ in range(sweeps):
         for mask in colors:
-            jr = np.zeros_like(j); jr[:, :-1] = j[:, 1:]
-            jl = np.zeros_like(j); jl[:, 1:] = j[:, :-1]
-            jd = np.zeros_like(j); jd[:-1, :] = j[1:, :]
-            ju = np.zeros_like(j); ju[1:, :] = j[:-1, :]
-            fwd = np.zeros_like(j)
-            fwd[:, :-1] += jr[:, :-1]
-            fwd[:-1, :] += jd[:-1, :]
-            rhs = wgt * image + mu * (wgt * fwd + wl * jl + wu * ju)
-            upd = np.where(diag > 0, rhs / np.where(diag > 0, diag, 1.0), j)
-            j[mask] = upd[mask]
-    return j
+            rhs = wi + mu * (wgt * (jr + jd) + wl * jl + wu * ju)
+            np.copyto(j, rhs / safe, where=mask)
+    return j.copy()
 
 
 def _region_weight(model, state, w: EnergyWeights) -> np.ndarray:
@@ -249,7 +251,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
             state, e_base = trial, e_trial
             break
 
-    state = replace(state, iter=state.iter + 1)
+    state = replace(state, iter=state.iter + 1, energy=e_base)
     if state.iter % cfg.record_every == 0:
         state.trace.append(evaluate(state, image, g, model, w))
     return state
@@ -299,7 +301,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     flat = 0
     for _ in range(cfg.max_iters):
         state = step(state, image, g, model, w, cfg)
-        cur = state.trace[-1].total if state.trace else evaluate(state, image, g, model, w).total
+        cur = state.energy
         if abs(prev - cur) < cfg.tol * max(abs(prev), 1.0):
             flat += 1
             if flat >= 20:

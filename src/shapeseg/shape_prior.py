@@ -8,7 +8,7 @@ grid.
 """
 
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -126,14 +126,13 @@ class ShapeModel:
     mean: np.ndarray
     modes: np.ndarray            # (p, h, w), L2-orthonormal
     variances: np.ndarray        # (p,), descending
-    lambda_box: np.ndarray = dc_field(default=None)  # (p, 2)
     center_on_domain: bool = True
-    degenerate: bool = False     # True when the training set had zero spread
 
-    def __post_init__(self):
-        if self.lambda_box is None:
-            s = 3.0 * np.sqrt(np.maximum(self.variances, 0.0))
-            self.lambda_box = np.stack([-s, s], axis=1)
+    @property
+    def lambda_box(self) -> np.ndarray:
+        """(p, 2) shape-parameter box: +-3*sqrt(variance) per mode."""
+        s = 3.0 * np.sqrt(np.maximum(self.variances, 0.0))
+        return np.stack([-s, s], axis=1)
 
     @property
     def p(self) -> int:
@@ -145,12 +144,8 @@ class ShapeModel:
         return self.modes.reshape(self.p, -1) @ d
 
 
-def build_shape_model(sdfs, p: int, lambda_box_scale: str = "stddev") -> ShapeModel:
-    """PCA over a stack of SDFs via the N x N Gram matrix.
-
-    ``lambda_box_scale`` selects the shape-parameter box: "stddev" gives
-    +-3*sqrt(variance) per mode, "eigenvalue" the literal +-3*variance.
-    """
+def build_shape_model(sdfs, p: int) -> ShapeModel:
+    """PCA over a stack of SDFs via the N x N Gram matrix."""
     sdfs = [field.as_field(s) for s in sdfs]
     n = len(sdfs)
     if n < 2:
@@ -168,7 +163,6 @@ def build_shape_model(sdfs, p: int, lambda_box_scale: str = "stddev") -> ShapeMo
     evals, evecs = np.linalg.eigh(gram)              # ascending
     order = np.argsort(evals)[::-1][:p]
     evals = np.maximum(evals[order], 0.0)
-    degenerate = bool(evals[0] <= 1e-10 * max(1.0, float(np.abs(gram).max())))
 
     modes = np.empty((p, stack.shape[1]))
     for k in range(p):
@@ -184,14 +178,10 @@ def build_shape_model(sdfs, p: int, lambda_box_scale: str = "stddev") -> ShapeMo
             norm = np.linalg.norm(u)
         modes[k] = u / norm
 
-    variances = evals / n
-    box = 3.0 * (np.sqrt(variances) if lambda_box_scale == "stddev" else variances)
     return ShapeModel(
         mean=mean.reshape(shape),
         modes=modes.reshape(p, *shape),
-        variances=variances,
-        lambda_box=np.stack([-box, box], axis=1),
-        degenerate=degenerate,
+        variances=evals / n,
     )
 
 

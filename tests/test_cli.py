@@ -132,6 +132,22 @@ class TestSegmentCommand:
         w2, c2 = descent.config_from_kv((out1 / "config.txt").read_text())
         assert w2 == EnergyWeights() and c2 == DescentConfig(max_iters=10)
 
+    def test_final_energy_is_the_last_iterate(self, tmp_path, capsys):
+        # 12 iterations recorded every 5: the last trace row is iteration 10
+        scene, _ = write_scene(tmp_path)
+        img_p = tmp_path / "img.pgm"
+        run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
+                 "--out-truth", str(tmp_path / "t.pgm")])
+        cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=12, record_every=5))
+        out = tmp_path / "run"
+        assert run_cli(["segment", "--image", str(img_p), "--config", str(cfg_p),
+                        "--out-dir", str(out)]) == 0
+        printed = capsys.readouterr().out.split("final energy ")[1].strip()
+        assert run_cli(["energy", "--image", str(img_p), "--phi", str(out / "phi.sfld"),
+                        "--config", str(cfg_p)]) == 0
+        total = float(capsys.readouterr().out.split("total=")[1])
+        assert printed == f"{total:.6g}"
+
     def test_with_model(self, tmp_path):
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"

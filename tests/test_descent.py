@@ -151,6 +151,16 @@ class TestGradParams:
         gp = descent.grad_params(st, img, g, disk_model, W, fd_h=1e-3)
         assert np.all(np.isfinite(gp))
 
+    def test_translation_box_spans_the_domain(self):
+        # a 4x600 grid: placements along the long side need |tx| > 255
+        model = shape_prior.ShapeModel(mean=np.zeros((4, 600)),
+                                       modes=np.full((1, 4, 600), 1 / np.sqrt(2400)),
+                                       variances=np.ones(1))
+        lo, hi = descent._param_boxes(model, Pose())
+        t = (1.0 + Pose().tau_max) * np.hypot(599, 3)
+        assert t > 255
+        assert np.array_equal(hi[-2:], [t, t]) and np.array_equal(lo[-2:], [-t, -t])
+
 
 class TestSolveSmoothApproximant:
     def _quad_matrix(self, image, wgt, mu):
@@ -208,6 +218,45 @@ class TestSolveSmoothApproximant:
         # the flat value a weighted field settles near is the mean
         assert abs(got.mean() - img.mean()) < 5.0
 
+    @staticmethod
+    def _scalar_red_black(image, wgt, mu, sweeps, warm):
+        # per-pixel reference: the same normal equation, the same operation
+        # order, pixels of one colour updated from the other colour's values
+        h, w = image.shape
+        j = warm.astype(np.float64).copy()
+        for _ in range(sweeps):
+            for color in (0, 1):
+                for y in range(h):
+                    for x in range(w):
+                        if (x + y) % 2 != color:
+                            continue
+                        wl = wgt[y, x - 1] if x > 0 else 0.0
+                        wu = wgt[y - 1, x] if y > 0 else 0.0
+                        nf = 2.0 - (x == w - 1) - (y == h - 1)
+                        diag = wgt[y, x] + mu * (wgt[y, x] * nf + wl + wu)
+                        if not diag > 0:
+                            continue
+                        jr = j[y, x + 1] if x < w - 1 else 0.0
+                        jd = j[y + 1, x] if y < h - 1 else 0.0
+                        jl = j[y, x - 1] if x > 0 else 0.0
+                        ju = j[y - 1, x] if y > 0 else 0.0
+                        rhs = wgt[y, x] * image[y, x] + mu * (
+                            wgt[y, x] * (jr + jd) + wl * jl + wu * ju)
+                        j[y, x] = rhs / diag
+        return j
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (7, 6), (12, 13)])
+    @pytest.mark.parametrize("mu", [0.0, 0.37, 1.0, 1e3])
+    def test_matches_scalar_reference(self, shape, mu):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        img = rng.uniform(0, 255, size=shape)
+        wgt = rng.uniform(0.0, 1.0, size=shape)
+        wgt[rng.uniform(size=shape) < 0.3] = 0.0
+        warm = rng.normal(100, 50, size=shape)
+        got = descent.solve_smooth_approximant(img, wgt, mu, 4, warm)
+        want = self._scalar_red_black(img, wgt, mu, 4, warm)
+        assert np.array_equal(got, want)
+
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             descent.solve_smooth_approximant(np.zeros((4, 4)), np.ones((4, 4)),
@@ -255,6 +304,14 @@ class TestStepAndSegment:
             if prev is not None:
                 assert cur <= prev + cfg.tol * abs(prev)
             prev = cur
+
+    def test_record_every_does_not_change_the_stop(self):
+        img = self._disk_scene(size=64, r=12)
+        every = descent.segment(img, None, W, DescentConfig(max_iters=300))
+        sparse = descent.segment(img, None, W, DescentConfig(max_iters=300, record_every=25))
+        assert sparse.iter == every.iter
+        assert np.array_equal(sparse.phi, every.phi)
+        assert sparse.trace == every.trace[24::25]
 
     def test_max_iters_zero_returns_init(self):
         img = self._disk_scene(size=32, r=8)

@@ -91,7 +91,6 @@ class TestBuildShapeModel:
         s = ellipse_sdfs(n=2)[0]
         model = shape_prior.build_shape_model([s.copy() for _ in range(4)], p=2)
         assert np.all(model.variances <= 1e-10)
-        assert model.degenerate
 
     def test_mode_orthonormality(self):
         model = shape_prior.build_shape_model(ellipse_sdfs(n=8), p=5)
@@ -122,9 +121,7 @@ class TestBuildShapeModel:
     def test_lambda_box_scales(self):
         sdfs = ellipse_sdfs(n=4)
         m1 = shape_prior.build_shape_model(sdfs, p=2)
-        m2 = shape_prior.build_shape_model(sdfs, p=2, lambda_box_scale="eigenvalue")
         assert np.allclose(m1.lambda_box[:, 1], 3 * np.sqrt(m1.variances))
-        assert np.allclose(m2.lambda_box[:, 1], 3 * m2.variances)
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +226,7 @@ class TestSmdlFormat:
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.modes, model.modes)
         assert np.array_equal(back.variances, model.variances)
+        assert np.array_equal(back.lambda_box, model.lambda_box)
         assert back.center_on_domain == model.center_on_domain
         p2 = tmp_path / "m2.smdl"
         shape_prior.write_smdl(back, p2, n_training=5)
