@@ -102,7 +102,7 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     phi = state.phi
     gx, gy, m = energy.smooth_grad_magnitude(phi)
     d = energy.dirac_eps(phi, w.eps)
-    dp = energy.dirac_eps_prime(phi, w.eps)
+    dp = -2.0 * phi / (w.eps * w.eps) * d     # energy.dirac_eps_prime, from d
     if model is None:
         f2w = w.xi * g
     else:
@@ -177,11 +177,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     if mu < 0:
         raise ValueError("mu must be non-negative")
     h, w = image.shape
-    # j lives inside a zero border, so its four neighbours are plain views
+    # the iterate j lives inside a zero border, so its neighbours are plain views
     jp = np.zeros((h + 2, w + 2))
-    j = jp[1:-1, 1:-1]
-    j[...] = warm
-    jr, jl, jd, ju = jp[1:-1, 2:], jp[1:-1, :-2], jp[2:, 1:-1], jp[:-2, 1:-1]
+    jp[1:-1, 1:-1] = warm
     # neighbor weights entering each pixel's normal equation
     wl = np.zeros_like(wgt); wl[:, 1:] = wgt[:, :-1]   # w at left neighbor
     wu = np.zeros_like(wgt); wu[1:, :] = wgt[:-1, :]   # w at upper neighbor
@@ -189,15 +187,23 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     nf[:, -1] -= 1.0
     nf[-1, :] -= 1.0
     diag = wgt + mu * (wgt * nf + wl + wu)
-    safe = np.where(diag > 0, diag, 1.0)
     wi = wgt * image
-    ys, xs = np.mgrid[0:h, 0:w]
-    colors = [((xs + ys) % 2 == c) & (diag > 0) for c in (0, 1)]
+    # colour c (red, then black) is two strided sublattices: rows r::2, columns (c + r)::2
+    subs = []
+    for c in (0, 1):
+        for r in (0, 1):
+            c0 = (c + r) % 2
+            # j on the sublattice, then its right, lower, left and upper neighbours
+            views = [jp[1 + r + dy:h + 1 + dy:2, 1 + c0 + dx:w + 1 + dx:2]
+                     for dy, dx in ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))]
+            s = (slice(r, h, 2), slice(c0, w, 2))
+            coef = [np.ascontiguousarray(a[s]) for a in (wi, wgt, wl, wu, diag)]
+            subs.append((views, *coef, coef[-1] > 0))
     for _ in range(sweeps):
-        for mask in colors:
-            rhs = wi + mu * (wgt * (jr + jd) + wl * jl + wu * ju)
-            np.copyto(j, rhs / safe, where=mask)
-    return j.copy()
+        for (j, jr, jd, jl, ju), wi_s, wgt_s, wl_s, wu_s, diag_s, pos in subs:
+            rhs = wi_s + mu * (wgt_s * (jr + jd) + wl_s * jl + wu_s * ju)
+            np.divide(rhs, diag_s, out=j, where=pos)
+    return jp[1:-1, 1:-1].copy()
 
 
 def _region_weight(model, state, w: EnergyWeights) -> np.ndarray:
@@ -321,6 +327,8 @@ def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:
     """
     if dt > 0.5 or dt <= 0:
         raise ValueError("dt must be in (0, 0.5] for stability")
+    if iters < 0:
+        raise ValueError("iters must be non-negative")
     phi = field.as_field(phi0).copy()
     s = phi0 / np.sqrt(phi0 * phi0 + 1.0)
     pos = s > 0

@@ -80,7 +80,12 @@ def heaviside_eps(z, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return 0.5 * (1.0 + erf(np.asarray(z, dtype=np.float64) / eps))
+    s = np.asarray(z, dtype=np.float64) / eps
+    # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on a band only
+    e = np.sign(s, out=np.empty_like(s))
+    band = np.abs(s) < 6.0
+    e[band] = erf(s[band])
+    return 0.5 * (1.0 + e)
 
 
 def dirac_eps(z, eps: float):
@@ -117,20 +122,33 @@ def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
     return 1.0 / (1.0 + eta * (gx * gx + gy * gy))
 
 
+def _f1(m: np.ndarray) -> float:
+    return float(np.sum((m - 1.0) ** 2))
+
+
+def _f2(f: np.ndarray, d: np.ndarray, m: np.ndarray) -> float:
+    """F2 from its weight f, dirac(phi) and |grad phi|."""
+    return float(np.sum(f * d * m))
+
+
+def _f2_weight(phi, g, prior_warped, w: EnergyWeights) -> np.ndarray:
+    if phi.shape != g.shape or phi.shape != prior_warped.shape:
+        raise ValueError("field dimensions differ")
+    return w.xi * g + 0.5 * w.gamma * prior_warped ** 2
+
+
 def energy_f1(phi: np.ndarray) -> float:
     """Sum over pixels of (|grad phi| - 1)^2."""
     _, _, m = smooth_grad_magnitude(phi)
-    return float(np.sum((m - 1.0) ** 2))
+    return _f1(m)
 
 
 def energy_f2(phi: np.ndarray, g: np.ndarray, prior_warped: np.ndarray,
               w: EnergyWeights) -> float:
     """Sum of [xi*g + (gamma/2)*prior^2] * dirac(phi) * |grad phi|."""
-    if phi.shape != g.shape or phi.shape != prior_warped.shape:
-        raise ValueError("field dimensions differ")
+    f = _f2_weight(phi, g, prior_warped, w)
     _, _, m = smooth_grad_magnitude(phi)
-    f = w.xi * g + 0.5 * w.gamma * prior_warped ** 2
-    return float(np.sum(f * dirac_eps(phi, w.eps) * m))
+    return _f2(f, dirac_eps(phi, w.eps), m)
 
 
 def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
@@ -177,14 +195,15 @@ def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
     ``prior_warped`` of None selects the prior-free reduction: F2 carries only
     the edge weight and F4 is dropped entirely (reported as 0).
     """
-    f1 = energy_f1(phi)
+    _, _, m = smooth_grad_magnitude(phi)
+    d = dirac_eps(phi, w.eps)
+    f1 = _f1(m)
+    f3 = energy_f3(phi, g, w)
     if prior_warped is None:
-        f2 = energy_f2(phi, g, np.zeros_like(phi), w)
-        f3 = energy_f3(phi, g, w)
+        f2 = _f2(w.xi * g, d, m)    # a zero prior adds exactly 0.0 to xi*g
         f4 = 0.0
     else:
-        f2 = energy_f2(phi, g, prior_warped, w)
-        f3 = energy_f3(phi, g, w)
+        f2 = _f2(_f2_weight(phi, g, prior_warped, w), d, m)
         f4 = energy_f4(image, i_in, i_out, prior_warped, w)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=compose_total(f1, f2, f3, f4, w))

@@ -123,13 +123,18 @@ def bilinear_sample(f: np.ndarray, x, y, outside: float):
     y0 = np.minimum(np.floor(yc).astype(np.intp), h - 2) if h > 1 else np.zeros_like(yc, dtype=np.intp)
     fx = xc - x0
     fy = yc - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
+    wx0 = 1 - fx
+    wy0 = 1 - fy
+    # corner offsets in the raveled field; a 1-wide axis has no second corner
+    dx = 1 if w > 1 else 0
+    dy = w if h > 1 else 0
+    flat = f.ravel()
+    i00 = y0 * w + x0
     val = (
-        f[y0, x0] * (1 - fx) * (1 - fy)
-        + f[y0, x1] * fx * (1 - fy)
-        + f[y1, x0] * (1 - fx) * fy
-        + f[y1, x1] * fx * fy
+        flat.take(i00) * wx0 * wy0
+        + flat.take(i00 + dx) * fx * wy0
+        + flat.take(i00 + dy) * wx0 * fy
+        + flat.take(i00 + (dy + dx)) * fx * fy
     )
     out = np.where(valid, val, outside)
     return float(out) if out.ndim == 0 else out

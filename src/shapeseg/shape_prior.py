@@ -7,6 +7,7 @@ pose (scale, rotation, translation) warps a synthesized shape onto the image
 grid.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -82,6 +83,8 @@ class Pose:
     def __post_init__(self):
         if not (self.tau_min > 0 and self.tau_min <= self.tau_max):
             raise ValueError("invalid tau bounds")
+        if not all(map(math.isfinite, (self.tau, self.theta, self.tx, self.ty))):
+            raise ValueError("pose parameters must be finite")
         self.clamp()
 
     def clamp(self):
@@ -190,6 +193,8 @@ def synthesize_shape(model: ShapeModel, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.shape != (model.p,):
         raise ValueError(f"lambda must have length {model.p}, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("lambda must be finite")
     return model.mean + np.tensordot(lam, model.modes, axes=1)
 
 

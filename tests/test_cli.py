@@ -218,6 +218,46 @@ class TestExitCodes:
             assert code == 2
             assert "truncated SMDL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        ["--pose", "nan", "0", "0", "0"],
+        ["--pose", "1", "0", "inf", "0"],
+        ["--pose", "1", "inf", "0", "0"],
+        ["--pose", "1", "0", "0", "nan"],
+        ["--lambda", "nan", "0"],
+        ["--lambda", "0", "inf"],
+    ])
+    def test_non_finite_pose_or_lambda_is_data_error(self, tmp_path, capsys, extra):
+        masks = []
+        for r in (8, 10, 12):
+            p = tmp_path / f"m{r}.pgm"
+            io.write_pgm(np.where(synth.render(synth.SceneSpec(
+                width=32, height=32, shape=("disk", 15.5, 15.5, float(r))))[1], 255.0, 0.0), p)
+            masks.append(str(p))
+        model = tmp_path / "model.smdl"
+        assert run_cli(["build-model", "--masks", *masks, "--modes", "2",
+                        "--out", str(model)]) == 0
+        phi = tmp_path / "phi.sfld"
+        field.write_sfld(descent.default_init_phi((32, 32)), phi)
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", masks[0], "--phi", str(phi),
+                        "--model", str(model), "--config", str(write_config(tmp_path)),
+                        *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert "nan" not in captured.out
+
+    def test_negative_reinit_iters_is_data_error(self, tmp_path, capsys):
+        p_in, p_out = tmp_path / "in.sfld", tmp_path / "out.sfld"
+        field.write_sfld(descent.default_init_phi((16, 16)), p_in)
+        code = run_cli(["reinit", "--phi", str(p_in), "--iters", "-5",
+                        "--out", str(p_out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "iters" in err[0]
+        assert not p_out.exists()
+
     def test_numerical_abort_code(self, tmp_path, monkeypatch, capsys):
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapeseg import descent, energy, field, shape_prior, synth
 from shapeseg.descent import DescentConfig, SegmentationState
@@ -378,6 +379,12 @@ class TestReinitialize:
         with pytest.raises(ValueError):
             descent.reinitialize(np.zeros((8, 8)), 1, dt=0.6)
 
+    def test_negative_iters_rejected(self):
+        with pytest.raises(ValueError, match="iters"):
+            descent.reinitialize(np.zeros((8, 8)), -5)
+        phi0 = disk_sdf(8, 8, 3.5, 3.5, 2)
+        assert np.array_equal(descent.reinitialize(phi0, 0), phi0)
+
 
 class TestConfigKv:
     def test_roundtrip(self):
@@ -388,6 +395,21 @@ class TestConfigKv:
         # NumPy scalars serialize as plain numbers too
         w = EnergyWeights(alpha=np.float64(0.1), gamma=np.float32(0.5))
         cfg = DescentConfig(max_iters=np.int64(77), tol=np.float64(1e-5))
+        w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
+        assert w2 == w and c2 == cfg
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_roundtrip_property(self, data):
+        pos = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+        w = EnergyWeights(**{k: data.draw(pos) for k in
+                             ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps")},
+                          **{k: data.draw(st.floats(0.0, 1e300)) for k in ("mu", "zeta")})
+        cfg = DescentConfig(
+            **{k: data.draw(pos) for k in ("dt_phi", "step_lambda", "step_pose", "fd_h")},
+            **{k: data.draw(st.integers(1, 10 ** 9)) for k in ("inner_ms_iters", "record_every")},
+            max_iters=data.draw(st.integers(0, 10 ** 9)),
+            tol=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
         w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
         assert w2 == w and c2 == cfg
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from shapeseg import energy, field
 from shapeseg.energy import EnergyWeights
@@ -29,6 +30,22 @@ class TestHeavisideDirac:
         assert np.all(np.diff(energy.heaviside_eps(z, 1.5)) > 0)
         wide = np.linspace(-40, 40, 400)
         assert np.all(np.diff(energy.heaviside_eps(wide, 1.5)) >= 0)
+
+    def test_erf_saturates_below_six(self):
+        # heaviside_eps writes +-1 instead of erf for |z/eps| >= 6; that is
+        # exact only while binary64 erf is already +-1.0 there
+        assert erf(5.9216) == 1.0 and erf(-5.9216) == -1.0
+
+    @pytest.mark.parametrize("eps", [0.1, 1.5, 7.0])
+    def test_matches_erf_formula_bit_for_bit(self, eps, rng):
+        band = np.linspace(5.8, 6.2, 801)
+        s = np.concatenate([band, -band, [0.0, -0.0, np.inf, -np.inf],
+                            rng.uniform(-8, 8, size=2000)])
+        z = np.concatenate([s * eps, [1e300, -1e300]])
+        want = 0.5 * (1.0 + erf(z / eps))
+        assert energy.heaviside_eps(z, eps).tobytes() == want.tobytes()
+        for v in (0.0, -0.0, 6.0 * eps, -6.0 * eps, 1e300, -1e300):
+            assert energy.heaviside_eps(v, eps) == 0.5 * (1.0 + erf(v / eps))
 
     def test_dirac_at_zero(self):
         # value at 0 for the Gaussian regularization: 1/(eps*sqrt(pi))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapeseg import field
 
@@ -67,6 +69,17 @@ class TestDivergence:
             lhs = field.inner(gx, vx) + field.inner(gy, vy)
             rhs = -field.inner(f, field.divergence(vx, vy))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(2, 12), st.integers(2, 12)).flatmap(
+        lambda shape: st.tuples(*[arrays(np.float64, shape, elements=st.integers(-1000, 1000))
+                                  for _ in range(3)])))
+    def test_exact_adjointness_on_integer_fields(self, fields):
+        # integer samples keep every product and partial sum exact in binary64
+        f, vx, vy = fields
+        gx, gy = field.grad(f)
+        assert (field.inner(gx, vx) + field.inner(gy, vy)
+                == -field.inner(f, field.divergence(vx, vy)))
 
     def test_constant_vector_field_interior(self):
         d = field.divergence(np.ones((8, 8)), np.zeros((8, 8)))
@@ -148,6 +161,65 @@ class TestBilinearSample:
             assert np.all(np.abs(got - want) < 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def bilinear_reference(f, x, y, outside):
+    """The 2-D-indexed formula bilinear_sample had before its flat gather."""
+    h, w = f.shape
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    valid = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
+    xc = np.clip(x, 0, w - 1)
+    yc = np.clip(y, 0, h - 1)
+    x0 = np.minimum(np.floor(xc).astype(np.intp), w - 2) if w > 1 else np.zeros_like(xc, dtype=np.intp)
+    y0 = np.minimum(np.floor(yc).astype(np.intp), h - 2) if h > 1 else np.zeros_like(yc, dtype=np.intp)
+    fx = xc - x0
+    fy = yc - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    val = (
+        f[y0, x0] * (1 - fx) * (1 - fy)
+        + f[y0, x1] * fx * (1 - fy)
+        + f[y1, x0] * (1 - fx) * fy
+        + f[y1, x1] * fx * fy
+    )
+    out = np.where(valid, val, outside)
+    return float(out) if out.ndim == 0 else out
+
+
+@st.composite
+def field_and_points(draw):
+    h, w = draw(st.sampled_from([(1, 1), (1, 7), (7, 1)]) | st.tuples(
+        st.integers(1, 20), st.integers(1, 20)))
+    f = draw(arrays(np.float64, (h, w), elements=st.floats(-1e6, 1e6)))
+
+    def coord(n):
+        # inside, exactly on the first or last row/column, or outside
+        return (st.floats(0, n - 1) | st.sampled_from([0.0, n - 1.0])
+                | st.floats(-3, n + 2))
+    pts = draw(st.lists(st.tuples(coord(w), coord(h)), min_size=1, max_size=16))
+    return f, np.array([p[0] for p in pts]), np.array([p[1] for p in pts])
+
+
+class TestBilinearReference:
+    @settings(max_examples=300, deadline=None)
+    @given(field_and_points())
+    def test_matches_2d_indexed_formula(self, case):
+        f, x, y = case
+        got = field.bilinear_sample(f, x, y, -7.25)
+        assert got.tobytes() == bilinear_reference(f, x, y, -7.25).tobytes()
+        for xs, ys in zip(x, y):
+            a = field.bilinear_sample(f, float(xs), float(ys), -7.25)
+            assert np.float64(a).tobytes() == np.float64(
+                bilinear_reference(f, float(xs), float(ys), -7.25)).tobytes()
+
+    def test_matches_on_a_warp_grid(self, rng):
+        f = rng.normal(size=(20, 17))
+        ys, xs = grid(20, 17)
+        x = 1.07 * xs - 0.3 * ys + 0.4
+        y = 0.3 * xs + 1.07 * ys - 1.1
+        got = field.bilinear_sample(f, x, y, 9.0)
+        assert got.tobytes() == bilinear_reference(f, x, y, 9.0).tobytes()
+
+
 class TestTotalVariation:
     def test_constant_zero(self):
         assert field.total_variation(np.full((8, 8), 5.0)) == 0.0
@@ -182,6 +254,15 @@ class TestSfldFormat:
         assert np.all(back == f)
         field.write_sfld(back, tmp_path / "b.sfld")
         assert (tmp_path / "a.sfld").read_bytes() == (tmp_path / "b.sfld").read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_roundtrip_property(self, tmp_path_factory, f):
+        path = tmp_path_factory.mktemp("sfld") / "f.sfld"
+        field.write_sfld(f, path)
+        back = field.read_sfld(path)
+        assert back.shape == f.shape and back.tobytes() == f.tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.sfld"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from shapeseg import contours, io
 from shapeseg.energy import EnergyBreakdown
@@ -13,6 +15,35 @@ class TestPgm:
         back = io.read_pgm(p)
         assert back.shape == f.shape
         assert np.array_equal(back, np.clip(np.rint(f), 0, 255))
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 20)),
+                  elements=st.floats(-1e3, 1e3)))
+    def test_p5_roundtrip_property(self, tmp_path_factory, f):
+        p = tmp_path_factory.mktemp("pgm") / "a.pgm"
+        io.write_pgm(f, p)
+        back = io.read_pgm(p)
+        assert np.array_equal(back, np.clip(np.rint(f), 0, 255))
+        io.write_pgm(back, p)
+        assert np.array_equal(io.read_pgm(p), back)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 65535).flatmap(lambda maxval: st.tuples(
+        st.just(maxval), arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 12)),
+                                elements=st.integers(0, maxval)))),
+        st.booleans())
+    def test_p2_and_p5_readers_property(self, tmp_path_factory, case, binary):
+        # every sample is read back unscaled, at any maxval, in both encodings
+        maxval, vals = case
+        h, w = vals.shape
+        head = b"%s\n# comment\n%d %d\n%d\n" % (b"P5" if binary else b"P2", w, h, maxval)
+        if binary:
+            body = vals.astype(">u2" if maxval > 255 else "u1").tobytes()
+        else:
+            body = " ".join(map(str, vals.ravel())).encode()
+        p = tmp_path_factory.mktemp("pgm") / "a.pgm"
+        p.write_bytes(head + body)
+        assert np.array_equal(io.read_pgm(p), vals.astype(np.float64))
 
     def test_write_clamps(self, tmp_path):
         f = np.array([[-10.0, 300.0], [127.4, 127.6]])

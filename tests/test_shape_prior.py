@@ -154,6 +154,23 @@ class TestSynthesizeShape:
         with pytest.raises(ValueError):
             shape_prior.synthesize_shape(model, np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, model, bad):
+        with pytest.raises(ValueError, match="finite"):
+            shape_prior.synthesize_shape(model, np.array([0.0, bad, 0.0]))
+
+
+class TestPose:
+    @pytest.mark.parametrize("name", ["tau", "theta", "tx", "ty"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Pose(**{name: bad})
+        v = Pose().as_vector()
+        v[["tau", "theta", "tx", "ty"].index(name)] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Pose().replaced(v)
+
 
 class TestWarp:
     def test_identity_pose(self, rng):
@@ -231,6 +248,26 @@ class TestSmdlFormat:
         p2 = tmp_path / "m2.smdl"
         shape_prior.write_smdl(back, p2, n_training=5)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda d: st.tuples(
+            arrays(np.float64, d[1:], elements=st.floats(-1e6, 1e6)),
+            arrays(np.float64, d, elements=st.floats(-1.0, 1.0)),
+            arrays(np.float64, d[0], elements=st.floats(0.0, 1e6)),
+            st.booleans())))
+    def test_roundtrip_property(self, tmp_path_factory, parts):
+        mean, modes, variances, centred = parts
+        model = shape_prior.ShapeModel(mean=mean, modes=modes, variances=variances,
+                                       center_on_domain=centred)
+        p = tmp_path_factory.mktemp("smdl") / "m.smdl"
+        shape_prior.write_smdl(model, p)
+        back = shape_prior.read_smdl(p)
+        assert back.mean.tobytes() == mean.tobytes()
+        assert back.modes.tobytes() == modes.tobytes() and back.modes.shape == modes.shape
+        assert back.variances.tobytes() == variances.tobytes()
+        assert back.lambda_box.tobytes() == model.lambda_box.tobytes()
+        assert back.center_on_domain == centred
 
     def test_truncated(self, tmp_path):
         # 96x96 grids, p=2: header ends at 24, trailer starts at 24 + 3 grids + 16

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapeseg import shape_prior, synth
 from shapeseg.synth import SceneSpec
@@ -164,6 +165,21 @@ class TestSceneKv:
 
     def test_roundtrip_no_occlusion(self):
         spec = SceneSpec()
+        assert synth.scene_from_kv(synth.scene_to_kv(spec)) == spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        SceneSpec,
+        width=st.integers(1, 4096), height=st.integers(1, 4096),
+        shape=st.one_of(
+            st.tuples(st.just("disk"), *[st.floats(allow_nan=False)] * 3),
+            st.tuples(st.just("ellipse"), *[st.floats(allow_nan=False)] * 5),
+            st.tuples(st.just("halfplane"), *[st.floats(allow_nan=False)] * 3)),
+        fg=st.floats(allow_nan=False), bg=st.floats(allow_nan=False),
+        noise_std=st.floats(allow_nan=False), noise_seed=st.integers(0, 2 ** 64 - 1),
+        occlusion=st.none() | st.tuples(st.just("arc"), *[st.floats(allow_nan=False)] * 2)
+        | st.tuples(st.just("box"), *[st.floats(allow_nan=False)] * 4)))
+    def test_roundtrip_property(self, spec):
         assert synth.scene_from_kv(synth.scene_to_kv(spec)) == spec
 
     def test_malformed(self):
