@@ -8,6 +8,7 @@ only to files.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,21 +113,18 @@ def _cmd_energy(args) -> int:
     phi = field.read_sfld(args.phi)
     if phi.shape != image.shape:
         raise ValueError(f"phi shape {phi.shape} does not match image {image.shape}")
-    w, _cfg = _load_config(args.config)
+    w, cfg = _load_config(args.config)
     g = energy.edge_indicator(image, w.eta, w.sigma)
-    if args.model:
-        model = shape_prior.read_smdl(args.model)
-        lam = np.asarray(args.lam if args.lam else np.zeros(model.p))
-        pose = shape_prior.Pose(*args.pose) if args.pose else shape_prior.Pose()
-        pw = descent.prior_field(model, lam, pose)
-        wgt = energy.heaviside_eps(-pw, w.eps)
-        i_in = descent.solve_smooth_approximant(image, wgt, w.mu, 100,
-                                                np.full_like(image, image.mean()))
-        i_out = descent.solve_smooth_approximant(image, 1 - wgt, w.mu, 100,
-                                                 np.full_like(image, image.mean()))
-        bd = energy.total_energy(phi, image, g, pw, i_in, i_out, w)
-    else:
-        bd = energy.total_energy(phi, image, g, None, None, None, w)
+    model = shape_prior.read_smdl(args.model) if args.model else None
+    state = descent.SegmentationState(phi=phi)
+    if model is not None:
+        # one warm start serves both approximants: the solver copies it
+        mean = np.full_like(image, image.mean())
+        state = descent.refresh_approximants(descent.SegmentationState(
+            phi=phi, lam=np.asarray(args.lam if args.lam else np.zeros(model.p)),
+            pose=shape_prior.Pose(*args.pose) if args.pose else shape_prior.Pose(),
+            i_in=mean, i_out=mean), image, model, w, replace(cfg, inner_ms_iters=100))
+    bd = descent.evaluate(state, image, g, model, w)
     print(f"f1={bd.f1:.17g} f2={bd.f2:.17g} f3={bd.f3:.17g} "
           f"f4={bd.f4:.17g} total={bd.total:.17g}")
     return 0

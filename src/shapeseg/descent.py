@@ -21,7 +21,7 @@ import numpy as np
 
 from . import energy, field, io, shape_prior
 from .energy import EnergyBreakdown, EnergyWeights
-from .shape_prior import Pose, ShapeModel
+from .shape_prior import TAU_MAX, TAU_MIN, Pose, ShapeModel
 
 
 class NumericalAbort(RuntimeError):
@@ -80,11 +80,8 @@ def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
 
 def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights) -> EnergyBreakdown:
     """Total energy of a state; prior-free when model is None."""
-    if model is None:
-        bd = energy.total_energy(state.phi, image, g, None, None, None, w)
-    else:
-        pw = prior_field(model, state.lam, state.pose)
-        bd = energy.total_energy(state.phi, image, g, pw, state.i_in, state.i_out, w)
+    pw = None if model is None else prior_field(model, state.lam, state.pose)
+    bd = energy.total_energy(state.phi, image, g, pw, state.i_in, state.i_out, w)
     for name in ("f1", "f2", "f3", "f4", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise NumericalAbort(f"non-finite energy term {name}")
@@ -103,11 +100,8 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     gx, gy, m = energy.smooth_grad_magnitude(phi)
     d = energy.dirac_eps(phi, w.eps)
     dp = -2.0 * phi / (w.eps * w.eps) * d     # energy.dirac_eps_prime, from d
-    if model is None:
-        f2w = w.xi * g
-    else:
-        pw = prior_field(model, state.lam, state.pose)
-        f2w = w.xi * g + 0.5 * w.gamma * pw ** 2
+    pw = None if model is None else prior_field(model, state.lam, state.pose)
+    f2w = energy.f2_weight(g, pw, w)
     # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
     scale = (w.alpha * (m - 1.0) + f2w * d) / m
     out = -field.divergence(scale * gx, scale * gy)
@@ -118,15 +112,26 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     return out
 
 
-def _param_boxes(model: ShapeModel, pose: Pose):
+def _params(state: SegmentationState) -> np.ndarray:
+    """The packed (lambda..., tau, theta, tx, ty) vector of a state."""
+    return np.concatenate([state.lam, state.pose.as_vector()])
+
+
+def _with_params(state: SegmentationState, x) -> SegmentationState:
+    """The state with lambda and the pose unpacked from ``x`` (the pose clamped)."""
+    p = len(state.lam)
+    return replace(state, lam=x[:p], pose=state.pose.replaced(x[p:]))
+
+
+def _param_boxes(model: ShapeModel):
     """(lo, hi) bounds for the packed (lambda..., tau, theta, tx, ty) vector."""
     # a placement that keeps part of the prior on the grid needs |T| of at most
-    # (1 + tau_max) diagonals, under the centred and the origin-centred map
+    # (1 + TAU_MAX) diagonals, under the centred and the origin-centred map
     h, w = model.mean.shape
-    t = (1.0 + pose.tau_max) * np.hypot(w - 1, h - 1)
+    t = (1.0 + TAU_MAX) * np.hypot(w - 1, h - 1)
     box = model.lambda_box
-    lo = np.concatenate([box[:, 0], [pose.tau_min, -np.pi, -t, -t]])
-    hi = np.concatenate([box[:, 1], [pose.tau_max, np.pi, t, t]])
+    lo = np.concatenate([box[:, 0], [TAU_MIN, -np.pi, -t, -t]])
+    hi = np.concatenate([box[:, 1], [TAU_MAX, np.pi, t, t]])
     return lo, hi
 
 
@@ -137,13 +142,11 @@ def grad_params(state: SegmentationState, image, g, model, w: EnergyWeights,
     Probes falling outside a parameter's box are clamped to its edge, which
     degrades gracefully to a one-sided difference.
     """
-    x0 = np.concatenate([state.lam, state.pose.as_vector()])
-    lo, hi = _param_boxes(model, state.pose)
-    p = model.p
+    x0 = _params(state)
+    lo, hi = _param_boxes(model)
 
     def energy_at(x):
-        st = replace(state, lam=x[:p], pose=state.pose.replaced(x[p:]))
-        return evaluate(st, image, g, model, w).total
+        return evaluate(_with_params(state, x), image, g, model, w).total
 
     out = np.zeros_like(x0)
     for i in range(len(x0)):
@@ -206,15 +209,10 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     return jp[1:-1, 1:-1].copy()
 
 
-def _region_weight(model, state, w: EnergyWeights) -> np.ndarray:
-    pw = prior_field(model, state.lam, state.pose)
-    return energy.heaviside_eps(-pw, w.eps)
-
-
 def refresh_approximants(state: SegmentationState, image, model,
                          w: EnergyWeights, cfg: DescentConfig) -> SegmentationState:
     """Gauss-Seidel refresh of I_in and I_out for the current prior region."""
-    wgt = _region_weight(model, state, w)
+    wgt = energy.heaviside_eps(-prior_field(model, state.lam, state.pose), w.eps)
     i_in = solve_smooth_approximant(image, wgt, w.mu, cfg.inner_ms_iters, state.i_in)
     i_out = solve_smooth_approximant(image, 1.0 - wgt, w.mu, cfg.inner_ms_iters, state.i_out)
     return replace(state, i_in=i_in, i_out=i_out)
@@ -227,35 +225,29 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
         state = refresh_approximants(state, image, model, w, cfg)
     e_base = evaluate(state, image, g, model, w).total
 
-    def accepts(e_new, e_ref):
-        return e_new <= e_ref + cfg.tol * abs(e_ref)
+    def gate(state, e_base, trial_at):
+        """Full, else half trial, if its energy rises at most tol*|e_base|; else revert."""
+        for scale in (1.0, 0.5):
+            trial = trial_at(scale)
+            e_trial = evaluate(trial, image, g, model, w).total
+            if e_trial <= e_base + cfg.tol * abs(e_base):
+                return trial, e_trial
+        return state, e_base
 
     if model is not None:
         gp = grad_params(state, image, g, model, w, cfg.fd_h)
-        lo, hi = _param_boxes(model, state.pose)
-        x0 = np.concatenate([state.lam, state.pose.as_vector()])
+        lo, hi = _param_boxes(model)
+        x0 = _params(state)
         steps = np.concatenate([np.full(model.p, cfg.step_lambda),
                                 np.full(4, cfg.step_pose)])
-        cand = state
-        for scale in (1.0, 0.5):
-            x = np.clip(x0 - scale * steps * gp, lo, hi)
-            trial = replace(state, lam=x[:model.p],
-                            pose=state.pose.replaced(x[model.p:]).clamp())
-            e_trial = evaluate(trial, image, g, model, w).total
-            if accepts(e_trial, e_base):
-                cand, e_base = trial, e_trial
-                break
-        state = cand
+        state, e_base = gate(state, e_base, lambda s: _with_params(
+            state, np.clip(x0 - s * steps * gp, lo, hi)))
 
     gphi = grad_phi_total(state, image, g, model, w)
     gmax = float(np.max(np.abs(gphi)))
     dt = min(cfg.dt_phi, 0.5 / gmax) if gmax > 0 else cfg.dt_phi
-    for scale in (1.0, 0.5):
-        trial = replace(state, phi=state.phi - scale * dt * gphi)
-        e_trial = evaluate(trial, image, g, model, w).total
-        if accepts(e_trial, e_base):
-            state, e_base = trial, e_trial
-            break
+    state, e_base = gate(state, e_base,
+                         lambda s: replace(state, phi=state.phi - s * dt * gphi))
 
     state = replace(state, iter=state.iter + 1, energy=e_base)
     if state.iter % cfg.record_every == 0:

@@ -131,8 +131,11 @@ def _f2(f: np.ndarray, d: np.ndarray, m: np.ndarray) -> float:
     return float(np.sum(f * d * m))
 
 
-def _f2_weight(phi, g, prior_warped, w: EnergyWeights) -> np.ndarray:
-    if phi.shape != g.shape or phi.shape != prior_warped.shape:
+def f2_weight(g: np.ndarray, prior_warped, w: EnergyWeights) -> np.ndarray:
+    """F2's weight xi*g + (gamma/2)*prior^2; xi*g alone when prior_warped is None."""
+    if prior_warped is None:
+        return w.xi * g
+    if g.shape != prior_warped.shape:
         raise ValueError("field dimensions differ")
     return w.xi * g + 0.5 * w.gamma * prior_warped ** 2
 
@@ -146,7 +149,9 @@ def energy_f1(phi: np.ndarray) -> float:
 def energy_f2(phi: np.ndarray, g: np.ndarray, prior_warped: np.ndarray,
               w: EnergyWeights) -> float:
     """Sum of [xi*g + (gamma/2)*prior^2] * dirac(phi) * |grad phi|."""
-    f = _f2_weight(phi, g, prior_warped, w)
+    if phi.shape != g.shape:
+        raise ValueError("field dimensions differ")
+    f = f2_weight(g, prior_warped, w)
     _, _, m = smooth_grad_magnitude(phi)
     return _f2(f, dirac_eps(phi, w.eps), m)
 
@@ -199,11 +204,7 @@ def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
     d = dirac_eps(phi, w.eps)
     f1 = _f1(m)
     f3 = energy_f3(phi, g, w)
-    if prior_warped is None:
-        f2 = _f2(w.xi * g, d, m)    # a zero prior adds exactly 0.0 to xi*g
-        f4 = 0.0
-    else:
-        f2 = _f2(_f2_weight(phi, g, prior_warped, w), d, m)
-        f4 = energy_f4(image, i_in, i_out, prior_warped, w)
+    f2 = _f2(f2_weight(g, prior_warped, w), d, m)
+    f4 = 0.0 if prior_warped is None else energy_f4(image, i_in, i_out, prior_warped, w)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=compose_total(f1, f2, f3, f4, w))

@@ -171,7 +171,10 @@ def write_sfld(f: np.ndarray, path) -> None:
 
 
 def read_sfld(path) -> np.ndarray:
-    """Read a field written by :func:`write_sfld`. Bit-exact round trip."""
+    """Read a field written by :func:`write_sfld`. Bit-exact round trip.
+
+    Raises ValueError, like :func:`as_field`, for an empty or non-finite field.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != SFLD_MAGIC:
@@ -183,4 +186,4 @@ def read_sfld(path) -> np.ndarray:
         raw = fh.read(8 * w * h)
         if len(raw) != 8 * w * h:
             raise ValueError("truncated SFLD data")
-    return np.frombuffer(raw, dtype="<f8").reshape(h, w).astype(np.float64)
+    return as_field(np.frombuffer(raw, dtype="<f8").reshape(h, w).astype(np.float64))

@@ -61,20 +61,23 @@ def read_pgm(path) -> np.ndarray:
         raise PgmError("malformed PGM header values")
     if magic == b"P2":
         try:
-            vals = np.array(data[offset:].split(), dtype=np.float64)
-        except ValueError as exc:
+            vals = np.array(data[offset:].split()).astype(np.int64)
+        except (ValueError, OverflowError) as exc:
             raise PgmError(f"malformed PGM sample: {exc}") from exc
         if vals.size != w * h:
             raise PgmError("truncated PGM data")
-        return vals.reshape(h, w)
-    # P5: a single whitespace byte separates header and raster
-    offset += 1
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    need = w * h * dtype.itemsize
-    raw = data[offset : offset + need]
-    if len(raw) != need:
-        raise PgmError("truncated PGM data")
-    return np.frombuffer(raw, dtype=dtype).reshape(h, w).astype(np.float64)
+    else:
+        # P5: a single whitespace byte separates header and raster
+        offset += 1
+        dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+        need = w * h * dtype.itemsize
+        raw = data[offset : offset + need]
+        if len(raw) != need:
+            raise PgmError("truncated PGM data")
+        vals = np.frombuffer(raw, dtype=dtype)
+    if vals.min() < 0 or vals.max() > maxval:
+        raise PgmError(f"PGM sample outside [0, maxval={maxval}]")
+    return vals.reshape(h, w).astype(np.float64)
 
 
 def write_pgm(f: np.ndarray, path) -> None:

@@ -18,9 +18,9 @@ from . import field
 
 SMDL_MAGIC = b"SMDL"
 
-# Default rigid-scale bounds; deliberately tighter than a degenerate [0, 255].
-TAU_MIN_DEFAULT = 0.25
-TAU_MAX_DEFAULT = 4.0
+# Rigid-scale bounds; deliberately tighter than a degenerate [0, 255].
+TAU_MIN = 0.25
+TAU_MAX = 4.0
 
 
 def as_mask(data) -> np.ndarray:
@@ -77,19 +77,15 @@ class Pose:
     theta: float = 0.0
     tx: float = 0.0
     ty: float = 0.0
-    tau_min: float = TAU_MIN_DEFAULT
-    tau_max: float = TAU_MAX_DEFAULT
 
     def __post_init__(self):
-        if not (self.tau_min > 0 and self.tau_min <= self.tau_max):
-            raise ValueError("invalid tau bounds")
         if not all(map(math.isfinite, (self.tau, self.theta, self.tx, self.ty))):
             raise ValueError("pose parameters must be finite")
         self.clamp()
 
     def clamp(self):
         """Project the parameters into their admissible box (theta wraps)."""
-        self.tau = float(min(max(self.tau, self.tau_min), self.tau_max))
+        self.tau = float(min(max(self.tau, TAU_MIN), TAU_MAX))
         self.theta = float((self.theta + np.pi) % (2 * np.pi) - np.pi)
         return self
 
@@ -97,8 +93,7 @@ class Pose:
         return np.array([self.tau, self.theta, self.tx, self.ty])
 
     def replaced(self, v) -> "Pose":
-        return Pose(float(v[0]), float(v[1]), float(v[2]), float(v[3]),
-                    self.tau_min, self.tau_max)
+        return Pose(*map(float, v))
 
 
 def warp(f: np.ndarray, pose: Pose, outside: float,

@@ -11,6 +11,7 @@ Each output z maps to a uniform double in [0, 1) via (z >> 11) * 2^-53;
 pairs of uniforms feed a Box-Muller transform for Gaussian samples.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,6 +72,16 @@ class SceneSpec:
     noise_seed: int = 0
     occlusion: Optional[tuple] = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.fg) and math.isfinite(self.bg)):
+            raise ValueError("fg and bg must be finite")
+        if not 0 <= self.noise_std < math.inf:     # False for NaN
+            raise ValueError("noise_std must be finite and >= 0")
+        for name in ("shape", "occlusion"):
+            val = getattr(self, name)
+            if val is not None and not all(map(math.isfinite, val[1:])):
+                raise ValueError(f"{name} parameters must be finite")
+
 
 def _shape_mask(spec: SceneSpec) -> np.ndarray:
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
@@ -129,21 +140,12 @@ def render(spec: SceneSpec):
     return image, truth
 
 
-def ellipse_training_set(n: int, a_range, b_range, width: int, height: int,
-                         seed: int = 0, jitter: float = 0.0):
-    """n centered ellipse masks with semi-axes evenly spaced across the ranges.
-
-    Deterministic by construction; ``jitter`` (off by default) adds seeded
-    splitmix64 perturbations to the semi-axes.
-    """
+def ellipse_training_set(n: int, a_range, b_range, width: int, height: int):
+    """n centered ellipse masks with semi-axes evenly spaced across the ranges."""
     if n < 2:
         raise ValueError("need n >= 2")
     a_vals = np.linspace(a_range[0], a_range[1], n)
     b_vals = np.linspace(b_range[0], b_range[1], n)
-    if jitter > 0:
-        u = splitmix64_uniforms(seed, 2 * n)
-        a_vals = a_vals + jitter * (2 * u[:n] - 1)
-        b_vals = b_vals + jitter * (2 * u[n:] - 1)
     cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
     masks = []
     for a, b in zip(a_vals, b_vals):

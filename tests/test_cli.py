@@ -76,6 +76,48 @@ class TestEnergyCommand:
         assert float(got["total"]) == bd.total
         assert float(got["f4"]) == 0.0
 
+    @pytest.mark.parametrize("extra", [
+        [],
+        ["--lambda", "0.7", "-0.4"],
+        ["--lambda", "0.7", "-0.4", "--pose", "1.1", "0.2", "0.6", "-0.3"],
+    ])
+    def test_with_model_prints_the_reference_recipe(self, tmp_path, capsys, extra):
+        scene, _ = write_scene(tmp_path, noise_std=6.0, noise_seed=3)
+        img_p = tmp_path / "img.pgm"
+        run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
+                 "--out-truth", str(tmp_path / "t.pgm")])
+        masks = [synth.render(synth.SceneSpec(width=64, height=64,
+                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+                 for r in (9, 11, 13, 15)]
+        model = shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
+        model_p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(model, model_p)
+        phi = descent.default_init_phi((64, 64)) + 0.3
+        phi_p = tmp_path / "phi.sfld"
+        field.write_sfld(phi, phi_p)
+        # a stiff smoothness weight: 100 sweeps stop short of the fixed point,
+        # so the sweep count and the warm start show in the output
+        w = EnergyWeights(gamma=0.05, mu=50.0)
+        cfg_p = write_config(tmp_path, w=w)
+        capsys.readouterr()
+        assert run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--model", str(model_p), "--config", str(cfg_p), *extra]) == 0
+        # the reference recipe: prior, region weight, 100 sweeps from the image mean
+        image = io.read_pgm(img_p)
+        g = energy.edge_indicator(image, w.eta, w.sigma)
+        lam = np.array([0.7, -0.4]) if "--lambda" in extra else np.zeros(2)
+        pose = shape_prior.Pose(1.1, 0.2, 0.6, -0.3) if "--pose" in extra else shape_prior.Pose()
+        pw = descent.prior_field(model, lam, pose)
+        wgt = energy.heaviside_eps(-pw, w.eps)
+        i_in = descent.solve_smooth_approximant(image, wgt, w.mu, 100,
+                                                np.full_like(image, image.mean()))
+        i_out = descent.solve_smooth_approximant(image, 1 - wgt, w.mu, 100,
+                                                 np.full_like(image, image.mean()))
+        bd = energy.total_energy(phi, image, g, pw, i_in, i_out, w)
+        assert capsys.readouterr().out == (
+            f"f1={bd.f1:.17g} f2={bd.f2:.17g} f3={bd.f3:.17g} "
+            f"f4={bd.f4:.17g} total={bd.total:.17g}\n")
+
     def test_shape_mismatch_is_data_error(self, tmp_path):
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"
@@ -247,6 +289,69 @@ class TestExitCodes:
         err = captured.err.strip().splitlines()
         assert len(err) == 1 and "finite" in err[0]
         assert "nan" not in captured.out
+
+    @pytest.mark.parametrize("line", ["fg=nan\nbg=inf", "noise_std=-3", "noise_std=nan",
+                                      "shape=disk,nan,15.5,8", "occlusion=arc,0,inf"])
+    def test_bad_scene_is_data_error(self, tmp_path, capsys, line):
+        spec = tmp_path / "scene.txt"
+        spec.write_text(f"width=32\nheight=32\nshape=disk,15.5,15.5,8\n{line}\n")
+        img, truth = tmp_path / "img.pgm", tmp_path / "truth.pgm"
+        code = run_cli(["synth", "--spec", str(spec), "--out-image", str(img),
+                        "--out-truth", str(truth)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert not img.exists() and not truth.exists()
+
+    def _energy_inputs(self, tmp_path):
+        scene, _ = write_scene(tmp_path)
+        img_p = tmp_path / "img.pgm"
+        run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
+                 "--out-truth", str(tmp_path / "t.pgm")])
+        phi_p = tmp_path / "phi.sfld"
+        field.write_sfld(descent.default_init_phi((64, 64)), phi_p)
+        return img_p, phi_p, write_config(tmp_path)
+
+    def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        data = bytearray(phi_p.read_bytes())
+        data[12 + 8 * 100:12 + 8 * 101] = np.array([np.nan], dtype="<f8").tobytes()
+        phi_p.write_bytes(bytes(data))
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--config", str(cfg_p)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sample", ["nan", "300", "1.5"])
+    def test_bad_p2_sample_is_data_error(self, tmp_path, capsys, sample):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        vals = ["50"] * (64 * 64)
+        vals[1000] = sample
+        img_p.write_text("P2\n64 64\n255\n" + " ".join(vals) + "\n")
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--config", str(cfg_p)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "sample" in err[0]
+        assert captured.out == ""
+
+    def test_non_finite_energy_is_numerical_abort(self, tmp_path, capsys):
+        # finite samples whose squared gradient overflows: F1 is inf
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        xs, ys = np.meshgrid(np.arange(64), np.arange(64))
+        field.write_sfld(np.where((xs + ys) % 2 == 0, 1e300, -1e300), phi_p)
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--config", str(cfg_p)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "numerical abort" in captured.err and captured.out == ""
 
     def test_negative_reinit_iters_is_data_error(self, tmp_path, capsys):
         p_in, p_out = tmp_path / "in.sfld", tmp_path / "out.sfld"

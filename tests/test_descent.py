@@ -157,8 +157,8 @@ class TestGradParams:
         model = shape_prior.ShapeModel(mean=np.zeros((4, 600)),
                                        modes=np.full((1, 4, 600), 1 / np.sqrt(2400)),
                                        variances=np.ones(1))
-        lo, hi = descent._param_boxes(model, Pose())
-        t = (1.0 + Pose().tau_max) * np.hypot(599, 3)
+        lo, hi = descent._param_boxes(model)
+        t = (1.0 + shape_prior.TAU_MAX) * np.hypot(599, 3)
         assert t > 255
         assert np.array_equal(hi[-2:], [t, t]) and np.array_equal(lo[-2:], [-t, -t])
 
@@ -326,6 +326,78 @@ class TestStepAndSegment:
         # rejected either at field validation or as a numerical abort
         with pytest.raises((ValueError, descent.NumericalAbort)):
             descent.segment(img, None, W, DescentConfig(max_iters=3))
+
+
+# scripted totals per group after e_base = 100: (totals, accepted scale or None, energy)
+FULL = ([99.0], 1.0, 99.0)
+WITHIN_TOL = ([100.00005], 1.0, 100.00005)     # rises, but by less than tol*|e_base|
+HALF = ([101.0, 99.5], 0.5, 99.5)
+REVERT = ([101.0, 100.5], None, 100.0)
+
+
+class TestBacktrackingGate:
+    """Each update group takes the full step, else the half step, else reverts.
+
+    ``evaluate`` returns scripted totals, so the gate alone decides the result.
+    """
+
+    GPHI = 0.25      # gmax 0.25: the CFL cap 0.5/gmax = 2 leaves dt = dt_phi
+    GP = np.array([0.2, -0.1, 3.0, -2.0, 1.5, 0.5])
+    CFG = DescentConfig(record_every=10 ** 6)     # no trace record: no extra evaluate
+
+    def _step(self, monkeypatch, state, model, totals):
+        seen = []
+        script = iter(totals)
+
+        def scripted(st, image, g, model, w):
+            seen.append(st)
+            return energy.EnergyBreakdown(0.0, 0.0, 0.0, 0.0, next(script))
+
+        monkeypatch.setattr(descent, "evaluate", scripted)
+        monkeypatch.setattr(descent, "grad_phi_total",
+                            lambda st, *a: np.full_like(st.phi, self.GPHI))
+        monkeypatch.setattr(descent, "grad_params", lambda *a: self.GP.copy())
+        monkeypatch.setattr(descent, "refresh_approximants", lambda st, *a: st)
+        image = np.zeros_like(state.phi)
+        out = descent.step(state, image, np.ones_like(image), model, W, self.CFG)
+        assert len(seen) == len(totals) and next(script, None) is None
+        return out
+
+    def _phi_after(self, phi0, scale):
+        if scale is None:
+            return phi0
+        return phi0 - scale * self.CFG.dt_phi * np.full_like(phi0, self.GPHI)
+
+    @pytest.mark.parametrize("phi_case", [FULL, WITHIN_TOL, HALF, REVERT])
+    def test_prior_free(self, monkeypatch, phi_case):
+        totals, scale, e_new = phi_case
+        phi0 = smooth_phi(16, 16)
+        out = self._step(monkeypatch, SegmentationState(phi=phi0.copy()), None,
+                         [100.0] + totals)
+        assert np.array_equal(out.phi, self._phi_after(phi0, scale))
+        assert out.energy == e_new and out.iter == 1 and out.trace == []
+
+    @pytest.mark.parametrize("param_case", [FULL, HALF, REVERT])
+    @pytest.mark.parametrize("phi_case", [FULL, HALF, REVERT])
+    def test_with_model(self, monkeypatch, disk_model, param_case, phi_case):
+        p_totals, p_scale, p_energy = param_case
+        # the phi group gates against the energy the parameter group left
+        phi_totals = [t - 100.0 + p_energy for t in phi_case[0]]
+        phi_scale, phi_energy = phi_case[1], phi_case[2] - 100.0 + p_energy
+        phi0 = smooth_phi(48, 48)
+        lam0 = np.array([0.3, -0.2])
+        state = SegmentationState(phi=phi0.copy(), lam=lam0.copy(), pose=Pose(),
+                                  i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)))
+        out = self._step(monkeypatch, state, disk_model, [100.0] + p_totals + phi_totals)
+        x0 = np.concatenate([lam0, Pose().as_vector()])
+        x = x0
+        if p_scale is not None:
+            steps = np.array([self.CFG.step_lambda] * 2 + [self.CFG.step_pose] * 4)
+            x = x0 - p_scale * steps * self.GP
+        assert np.array_equal(out.lam, x[:2])
+        assert out.pose == Pose(*map(float, x[2:]))
+        assert np.array_equal(out.phi, self._phi_after(phi0, phi_scale))
+        assert out.energy == phi_energy
 
 
 class TestInitState:

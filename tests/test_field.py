@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,3 +278,25 @@ class TestSfldFormat:
         p.write_bytes(p.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             field.read_sfld(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, tmp_path, bad):
+        p = tmp_path / "n.sfld"
+        vals = np.zeros((3, 4))
+        vals[1, 2] = bad
+        p.write_bytes(field.SFLD_MAGIC + struct.pack("<II", 4, 3) + vals.astype("<f8").tobytes())
+        with pytest.raises(ValueError, match="non-finite"):
+            field.read_sfld(p)
+
+    @pytest.mark.parametrize("w, h", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_rejected(self, tmp_path, w, h):
+        p = tmp_path / "e.sfld"
+        p.write_bytes(field.SFLD_MAGIC + struct.pack("<II", w, h))
+        with pytest.raises(ValueError, match="non-empty"):
+            field.read_sfld(p)
+
+    def test_read_is_a_writable_copy(self, tmp_path):
+        p = tmp_path / "w.sfld"
+        field.write_sfld(np.ones((2, 3)), p)
+        back = field.read_sfld(p)
+        assert back.dtype == np.float64 and back.flags.writeable

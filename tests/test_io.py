@@ -82,6 +82,24 @@ class TestPgm:
         with pytest.raises(io.PgmError):
             io.read_pgm(p)
 
+    @pytest.mark.parametrize("sample", [b"nan", b"inf", b"300", b"1.5", b"-1", b"1e2"])
+    def test_p2_sample_not_an_integer_in_range(self, tmp_path, sample):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(b"P2\n2 1\n255\n7 " + sample + b"\n")
+        with pytest.raises(io.PgmError, match="sample"):
+            io.read_pgm(p)
+
+    @pytest.mark.parametrize("maxval, samples", [
+        (1000, np.array([[3, 1001]], dtype=">u2")),
+        (300, np.array([[65535, 0]], dtype=">u2")),
+        (100, np.array([[101, 0]], dtype="u1")),
+    ])
+    def test_p5_sample_above_maxval(self, tmp_path, maxval, samples):
+        p = tmp_path / "s.pgm"
+        p.write_bytes(b"P5\n2 1\n%d\n" % maxval + samples.tobytes())
+        with pytest.raises(io.PgmError, match="maxval"):
+            io.read_pgm(p)
+
     def test_bad_maxval(self, tmp_path):
         p = tmp_path / "m.pgm"
         p.write_bytes(b"P5\n2 2\n70000\n" + b"\x00" * 8)

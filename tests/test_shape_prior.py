@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -170,6 +172,16 @@ class TestPose:
         v[["tau", "theta", "tx", "ty"].index(name)] = bad
         with pytest.raises(ValueError, match="finite"):
             Pose().replaced(v)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.1, 5.0), st.floats(-np.pi, np.pi),
+           st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+    def test_clamp_idempotent(self, tau, theta, tx, ty):
+        # the descent clips theta to [-pi, pi] and tau into its box before
+        # building a Pose, which clamps once; a second clamp changes no bit
+        pose = Pose(tau, theta, tx, ty)
+        again = copy.copy(pose).clamp()
+        assert again.as_vector().tobytes() == pose.as_vector().tobytes()
 
 
 class TestWarp:
