@@ -63,6 +63,8 @@ class SegmentationState:
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
     energy: Optional[float] = None   # accepted total energy, set by step
+    # fields reused within one step: {kind: (inputs, fields)}; see _fields
+    _memo: Optional[dict] = dc_field(default=None, repr=False, compare=False)
 
 
 def far_outside(shape) -> float:
@@ -78,10 +80,33 @@ def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
                             center_on_domain=model.center_on_domain)
 
 
+def _fields(state: SegmentationState, kind: str, compute, *inputs):
+    """compute(*inputs), reused while the step's memo holds it for these very objects.
+
+    Entries are keyed on identity, so a new array always misses; ``step``
+    gives each step a fresh memo, so arrays edited in place between steps
+    miss too. Without a memo (outside ``step``) this is compute(*inputs).
+    """
+    memo = state._memo
+    if memo is None:
+        return compute(*inputs)
+    hit = memo.get(kind)
+    if hit is not None and all(a is b for a, b in zip(hit[0], inputs)):
+        return hit[1]
+    hit = memo[kind] = None     # free the old fields before computing new ones
+    memo[kind] = (inputs, compute(*inputs))
+    return memo[kind][1]
+
+
 def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights) -> EnergyBreakdown:
     """Total energy of a state; prior-free when model is None."""
-    pw = None if model is None else prior_field(model, state.lam, state.pose)
-    bd = energy.total_energy(state.phi, image, g, pw, state.i_in, state.i_out, w)
+    # every term is checked below, so NumPy's overflow warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        pw = None if model is None else prior_field(model, state.lam, state.pose)
+        fits = None if pw is None else _fields(state, "fit", energy.fit_terms, image,
+                                               state.i_in, state.i_out, w)
+        bd = energy.breakdown(_fields(state, "phi", energy.phi_terms, state.phi, g, w),
+                              fits, g, pw, w)
     for name in ("f1", "f2", "f3", "f4", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise NumericalAbort(f"non-finite energy term {name}")
@@ -96,17 +121,20 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     full F2 derivative (Dirac-derivative factor plus the divergence coupling
     through |grad phi|), and the F3 area response.
     """
-    phi = state.phi
-    gx, gy, m = energy.smooth_grad_magnitude(phi)
-    d = energy.dirac_eps(phi, w.eps)
-    dp = -2.0 * phi / (w.eps * w.eps) * d     # energy.dirac_eps_prime, from d
-    pw = None if model is None else prior_field(model, state.lam, state.pose)
-    f2w = energy.f2_weight(g, pw, w)
-    # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
-    scale = (w.alpha * (m - 1.0) + f2w * d) / m
-    out = -field.divergence(scale * gx, scale * gy)
-    out += f2w * dp * m            # d(dirac(phi))/dphi in F2
-    out += -w.beta * g * d         # d(H_eps(-phi))/dphi in F3
+    # the result is checked below, so NumPy's overflow warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the prior first, so its warp's temporaries are gone before the phi arrays exist
+        pw = None if model is None else prior_field(model, state.lam, state.pose)
+        f2w = energy.f2_weight(g, pw, w)
+        phi = state.phi
+        m, d, _, _ = _fields(state, "phi", energy.phi_terms, phi, g, w)
+        gx, gy = field.grad(phi)
+        dp = -2.0 * phi / (w.eps * w.eps) * d     # energy.dirac_eps_prime, from d
+        # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
+        scale = (w.alpha * (m - 1.0) + f2w * d) / m
+        out = -field.divergence(scale * gx, scale * gy)
+        out += f2w * dp * m            # d(dirac(phi))/dphi in F2
+        out += -w.beta * g * d         # d(H_eps(-phi))/dphi in F3
     if not np.all(np.isfinite(out)):
         raise NumericalAbort("non-finite level-set gradient")
     return out
@@ -223,6 +251,8 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     """One outer iteration: approximant refresh, parameter step, phi step."""
     if model is not None:
         state = refresh_approximants(state, image, model, w, cfg)
+    # the trial states below are replace()d from this one and share its memo
+    state = replace(state, _memo={})
     e_base = evaluate(state, image, g, model, w).total
 
     def gate(state, e_base, trial_at):
@@ -252,7 +282,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     state = replace(state, iter=state.iter + 1, energy=e_base)
     if state.iter % cfg.record_every == 0:
         state.trace.append(evaluate(state, image, g, model, w))
-    return state
+    return replace(state, _memo=None)
 
 
 def default_init_phi(shape) -> np.ndarray:

@@ -92,8 +92,10 @@ def dirac_eps(z, eps: float):
     """Smooth Dirac: exp(-(z/eps)^2) / (eps*sqrt(pi)); exact derivative of heaviside_eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    z = np.asarray(z, dtype=np.float64)
-    return np.exp(-((z / eps) ** 2)) / (eps * np.sqrt(np.pi))
+    # exp(-s^2) is exactly 0.0 from |s| = 28 on, so clipping s there changes
+    # no value and keeps s^2 from overflowing when |z| is huge
+    s = np.clip(np.asarray(z, dtype=np.float64) / eps, -28.0, 28.0)
+    return np.exp(-(s * s)) / (eps * np.sqrt(np.pi))
 
 
 def dirac_eps_prime(z, eps: float):
@@ -169,6 +171,28 @@ def curve_length(phi: np.ndarray, eps: float) -> float:
     return float(np.sum(dirac_eps(phi, eps) * m))
 
 
+def fit_terms(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
+              w: EnergyWeights):
+    """F4's per-pixel fits (fit_in, fit_out): (I - J)^2 + mu*|grad J|^2 for each approximant."""
+    if not image.shape == i_in.shape == i_out.shape:
+        raise ValueError("field dimensions differ")
+    gx_in, gy_in = field.grad(i_in)
+    gx_out, gy_out = field.grad(i_out)
+    fit_in = (image - i_in) ** 2 + w.mu * (gx_in ** 2 + gy_in ** 2)
+    fit_out = (image - i_out) ** 2 + w.mu * (gx_out ** 2 + gy_out ** 2)
+    return fit_in, fit_out
+
+
+def _f4(fits, prior_warped: np.ndarray, w: EnergyWeights) -> float:
+    """F4 from :func:`fit_terms` and the warped prior."""
+    fit_in, fit_out = fits
+    if fit_in.shape != prior_warped.shape:
+        raise ValueError("field dimensions differ")
+    h_in = heaviside_eps(-prior_warped, w.eps)
+    data = float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
+    return data + w.zeta * curve_length(prior_warped, w.eps)
+
+
 def energy_f4(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
               prior_warped: np.ndarray, w: EnergyWeights) -> float:
     """Piecewise-smooth fit inside/outside the prior region plus length penalty.
@@ -176,21 +200,33 @@ def energy_f4(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
     The object region is H_eps(-prior_warped) under the negative-inside SDF
     convention: I_in models the image inside the prior-predicted object.
     """
-    if not (image.shape == i_in.shape == i_out.shape == prior_warped.shape):
-        raise ValueError("field dimensions differ")
-    h_in = heaviside_eps(-prior_warped, w.eps)
-    gx_in, gy_in = field.grad(i_in)
-    gx_out, gy_out = field.grad(i_out)
-    fit_in = (image - i_in) ** 2 + w.mu * (gx_in ** 2 + gy_in ** 2)
-    fit_out = (image - i_out) ** 2 + w.mu * (gx_out ** 2 + gy_out ** 2)
-    data = float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
-    return data + w.zeta * curve_length(prior_warped, w.eps)
+    return _f4(fit_terms(image, i_in, i_out, w), prior_warped, w)
 
 
 def compose_total(f1: float, f2: float, f3: float, f4: float,
                   w: EnergyWeights) -> float:
     """Weighted composition (alpha/2)*F1 + F2 + beta*F3 + nu*F4."""
     return 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4
+
+
+def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
+    """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3)."""
+    _, _, m = smooth_grad_magnitude(phi)
+    return m, dirac_eps(phi, w.eps), _f1(m), energy_f3(phi, g, w)
+
+
+def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
+              w: EnergyWeights) -> EnergyBreakdown:
+    """Every term and the total from :func:`phi_terms` and :func:`fit_terms`.
+
+    ``prior_warped`` of None selects the prior-free reduction, and ``fits``
+    is then unused.
+    """
+    m, d, f1, f3 = phi_t
+    f2 = _f2(f2_weight(g, prior_warped, w), d, m)
+    f4 = 0.0 if prior_warped is None else _f4(fits, prior_warped, w)
+    return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
+                           total=compose_total(f1, f2, f3, f4, w))
 
 
 def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
@@ -200,11 +236,5 @@ def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
     ``prior_warped`` of None selects the prior-free reduction: F2 carries only
     the edge weight and F4 is dropped entirely (reported as 0).
     """
-    _, _, m = smooth_grad_magnitude(phi)
-    d = dirac_eps(phi, w.eps)
-    f1 = _f1(m)
-    f3 = energy_f3(phi, g, w)
-    f2 = _f2(f2_weight(g, prior_warped, w), d, m)
-    f4 = 0.0 if prior_warped is None else energy_f4(image, i_in, i_out, prior_warped, w)
-    return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
-                           total=compose_total(f1, f2, f3, f4, w))
+    fits = None if prior_warped is None else fit_terms(image, i_in, i_out, w)
+    return breakdown(phi_terms(phi, g, w), fits, g, prior_warped, w)

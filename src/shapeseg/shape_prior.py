@@ -104,14 +104,14 @@ def warp(f: np.ndarray, pose: Pose, outside: float,
     literal origin-centered map h(x) = tau*R*x + T.
     """
     h, w = f.shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
     if center_on_domain:
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     else:
         cx = cy = 0.0
     ct, st = np.cos(pose.theta), np.sin(pose.theta)
-    dx = xs - cx
-    dy = ys - cy
+    # an x-offset row and a y-offset column, broadcast to the grid in hx and hy
+    dx = np.arange(w, dtype=np.float64) - cx
+    dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
     hx = pose.tau * (ct * dx - st * dy) + cx + pose.tx
     hy = pose.tau * (st * dx + ct * dy) + cy + pose.ty
     return field.bilinear_sample(f, hx, hy, outside)

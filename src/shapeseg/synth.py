@@ -51,6 +51,10 @@ def gaussian_noise(seed: int, count: int) -> np.ndarray:
     return z[:count]
 
 
+# parameter count of each shape kind: (cx, cy, r), (cx, cy, a, b, angle), (nx, ny, offset)
+_SHAPE_ARITY = {"disk": 3, "ellipse": 5, "halfplane": 3}
+
+
 @dataclass
 class SceneSpec:
     """Recipe for one two-phase scene.
@@ -73,6 +77,8 @@ class SceneSpec:
     occlusion: Optional[tuple] = None
 
     def __post_init__(self):
+        if not (1 <= self.width and 1 <= self.height):
+            raise ValueError("width and height must be >= 1")
         if not (math.isfinite(self.fg) and math.isfinite(self.bg)):
             raise ValueError("fg and bg must be finite")
         if not 0 <= self.noise_std < math.inf:     # False for NaN
@@ -81,6 +87,11 @@ class SceneSpec:
             val = getattr(self, name)
             if val is not None and not all(map(math.isfinite, val[1:])):
                 raise ValueError(f"{name} parameters must be finite")
+        kind, *params = self.shape
+        if kind in _SHAPE_ARITY and len(params) != _SHAPE_ARITY[kind]:
+            raise ValueError(f"shape {kind} takes {_SHAPE_ARITY[kind]} parameters")
+        if kind in ("disk", "ellipse") and not min(params[2:4]) > 0:   # r, or a and b
+            raise ValueError("disk radius and ellipse semi-axes must be positive")
 
 
 def _shape_mask(spec: SceneSpec) -> np.ndarray:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -303,6 +308,24 @@ class TestExitCodes:
         assert len(err) == 1 and "finite" in err[0]
         assert not img.exists() and not truth.exists()
 
+    @pytest.mark.parametrize("spec", [
+        "width=0\nheight=32\nshape=halfplane,1,0,5",
+        "width=32\nheight=32\nshape=disk,15.5,15.5,-5",
+        "width=32\nheight=32\nshape=ellipse,15.5,15.5,0,5,0",
+        "width=32\nheight=32\nshape=disk,15.5,15.5",
+    ])
+    def test_degenerate_scene_is_data_error(self, tmp_path, capsys, spec):
+        p = tmp_path / "scene.txt"
+        p.write_text(spec + "\n")
+        img, truth = tmp_path / "img.pgm", tmp_path / "truth.pgm"
+        code = run_cli(["synth", "--spec", str(p), "--out-image", str(img),
+                        "--out-truth", str(truth)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and captured.out == ""
+        assert not img.exists() and not truth.exists()
+
     def _energy_inputs(self, tmp_path):
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"
@@ -352,6 +375,21 @@ class TestExitCodes:
         assert code == 3
         captured = capsys.readouterr()
         assert "numerical abort" in captured.err and captured.out == ""
+
+    def test_numerical_abort_prints_one_line(self, tmp_path):
+        # NumPy warnings go to the real stderr, so run the command in a child process
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        xs, ys = np.meshgrid(np.arange(64), np.arange(64))
+        field.write_sfld(np.where((xs + ys) % 2 == 0, 1e300, -1e300), phi_p)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from shapeseg.cli import main; main()",
+             "energy", "--image", str(img_p), "--phi", str(phi_p), "--config", str(cfg_p)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == "numerical abort: non-finite energy term f1\n"
+        assert proc.stdout == ""
 
     def test_negative_reinit_iters_is_data_error(self, tmp_path, capsys):
         p_in, p_out = tmp_path / "in.sfld", tmp_path / "out.sfld"

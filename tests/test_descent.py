@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -398,6 +401,101 @@ class TestBacktrackingGate:
         assert out.pose == Pose(*map(float, x[2:]))
         assert np.array_equal(out.phi, self._phi_after(phi0, phi_scale))
         assert out.energy == phi_energy
+
+
+def _memo_free(state):
+    """A state holding copies of ``state``'s inputs and nothing a step carried along."""
+    def cp(a):
+        return None if a is None else a.copy()
+    return SegmentationState(phi=state.phi.copy(), lam=cp(state.lam),
+                             pose=copy.copy(state.pose), i_in=cp(state.i_in),
+                             i_out=cp(state.i_out), iter=state.iter,
+                             trace=list(state.trace), energy=state.energy)
+
+
+def _bits(bd):
+    return [float(getattr(bd, n)).hex() for n in ("f1", "f2", "f3", "f4", "total")]
+
+
+class TestFieldsComputedOncePerStep:
+    """Whatever a step reuses between energy calls, every result equals a fresh computation."""
+
+    W = EnergyWeights(gamma=0.05)
+
+    def _scene(self, disk_model, with_model):
+        img = field.gaussian_convolve(
+            np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
+        g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
+        if not with_model:
+            return img, g, None, SegmentationState(phi=smooth_phi(48, 48))
+        state = replace(descent.init_state(img, disk_model, self.W),
+                        phi=smooth_phi(48, 48, seed=5), lam=np.array([0.3, -0.2]),
+                        pose=Pose(1.05, 0.1, 0.4, -0.3))
+        return img, g, disk_model, state
+
+    def _checked(self, monkeypatch, seen):
+        """Make every evaluate/grad_phi_total call also check itself against a memo-free state."""
+        real_eval, real_grad = descent.evaluate, descent.grad_phi_total
+
+        def evaluate(state, *args):
+            out = real_eval(state, *args)
+            assert _bits(out) == _bits(real_eval(_memo_free(state), *args))
+            seen.append(state)
+            return out
+
+        def grad_phi_total(state, *args):
+            out = real_grad(state, *args)
+            assert out.tobytes() == real_grad(_memo_free(state), *args).tobytes()
+            return out
+
+        monkeypatch.setattr(descent, "evaluate", evaluate)
+        monkeypatch.setattr(descent, "grad_phi_total", grad_phi_total)
+        return real_eval, real_grad
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_every_call_in_a_step(self, monkeypatch, disk_model, with_model):
+        img, g, model, state = self._scene(disk_model, with_model)
+        seen = []
+        self._checked(monkeypatch, seen)
+        for _ in range(3):
+            state = descent.step(state, img, g, model, self.W, DescentConfig())
+        assert len(seen) >= 3 * (17 if with_model else 3)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_changed_inputs_after_a_step(self, monkeypatch, disk_model, with_model):
+        # the states seen inside a step carry whatever it reuses; vary each input
+        img, g, model, state = self._scene(disk_model, with_model)
+        seen = []
+        real_eval, real_grad = self._checked(monkeypatch, seen)
+        descent.step(state, img, g, model, self.W, DescentConfig())
+        s = seen[-1]
+        probes = [s, replace(s, phi=s.phi.copy()), replace(s, phi=s.phi + 0.25), s]
+        if model is not None:
+            probes += [replace(s, lam=s.lam + 0.1), replace(s, pose=Pose(1.1, 0.2, 0.5, -0.5)),
+                       replace(s, i_in=s.i_in + 1.0), replace(s, i_out=s.i_out.copy()),
+                       replace(s, i_out=s.i_out - 2.0), s]
+        for probe in probes:
+            for st_ in (probe, replace(probe, phi=probe.phi + 0.5), probe):
+                assert _bits(real_eval(st_, img, g, model, self.W)) == \
+                    _bits(real_eval(_memo_free(st_), img, g, model, self.W))
+                assert real_grad(st_, img, g, model, self.W).tobytes() == \
+                    real_grad(_memo_free(st_), img, g, model, self.W).tobytes()
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_phi_edited_in_place_between_steps(self, disk_model, with_model):
+        img, g, model, state = self._scene(disk_model, with_model)
+        cfg = DescentConfig()
+        s1 = descent.step(state, img, g, model, self.W, cfg)
+        assert getattr(s1, "_memo", None) is None
+        s1.phi += 0.3
+        fresh = _memo_free(s1)
+        a = descent.step(s1, img, g, model, self.W, cfg)
+        b = descent.step(fresh, img, g, model, self.W, cfg)
+        assert a.phi.tobytes() == b.phi.tobytes()
+        assert a.energy.hex() == b.energy.hex()
+        assert [_bits(bd) for bd in a.trace] == [_bits(bd) for bd in b.trace]
+        if model is not None:
+            assert a.lam.tobytes() == b.lam.tobytes() and a.pose == b.pose
 
 
 class TestInitState:

@@ -66,6 +66,17 @@ class TestHeavisideDirac:
         fd = (energy.dirac_eps(z + h, 1.5) - energy.dirac_eps(z - h, 1.5)) / (2 * h)
         assert np.max(np.abs(fd - energy.dirac_eps_prime(z, 1.5))) < 1e-6
 
+    def test_dirac_huge_argument_is_silent_and_exact(self, recwarn):
+        z = np.array([1e155, -1e155, 1e300, -1e300, np.inf, -np.inf, 41.9, 42.0, 42.1,
+                      -42.1, 0.0, -0.0, 3.7, np.nan])
+        for eps in (0.1, 1.5, 7.0):
+            got = energy.dirac_eps(z, eps)
+            assert not recwarn.list, [str(w.message) for w in recwarn.list]
+            with np.errstate(over="ignore"):
+                want = np.exp(-((z / eps) ** 2)) / (eps * np.sqrt(np.pi))
+            assert got.tobytes() == want.tobytes()
+            assert energy.dirac_eps(1e300, eps) == 0.0 and not recwarn.list
+
     def test_dirac_unit_mass(self):
         eps = 1.5
         z = np.arange(-50 * eps, 50 * eps + eps / 200, eps / 100)
@@ -228,6 +239,23 @@ class TestEnergyF4:
         b = energy.energy_f4(img + 40, i_in + 40, i_out + 40, prior, W)
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
+    def test_matches_written_out_recipe(self, rng):
+        # F4 in the operation order the descent's bit-identical outputs rely on
+        img = rng.uniform(0, 255, size=(24, 20))
+        i_in = rng.uniform(0, 255, size=img.shape)
+        i_out = rng.uniform(0, 255, size=img.shape)
+        prior = disk_sdf(24, 20, 9.3, 11.6, 6.2)
+        gx_in, gy_in = field.grad(i_in)
+        gx_out, gy_out = field.grad(i_out)
+        fit_in = (img - i_in) ** 2 + W.mu * (gx_in ** 2 + gy_in ** 2)
+        fit_out = (img - i_out) ** 2 + W.mu * (gx_out ** 2 + gy_out ** 2)
+        h_in = energy.heaviside_eps(-prior, W.eps)
+        gx, gy = field.grad(prior)
+        m = np.sqrt(gx * gx + gy * gy + energy.KAPPA * energy.KAPPA)
+        want = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
+                + W.zeta * float(np.sum(energy.dirac_eps(prior, W.eps) * m)))
+        assert energy.energy_f4(img, i_in, i_out, prior, W).hex() == want.hex()
+
 
 class TestTotalEnergy:
     def test_component_recomposition(self, rng):
@@ -270,6 +298,27 @@ class TestTotalEnergy:
         assert abs(bd.f3 - A) / A < 0.03
         want = 0.5 * w.alpha * bd.f1 + bd.f2 + w.beta * bd.f3 + w.nu * bd.f4
         assert abs(bd.total - want) < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_matches_written_out_recipe(self, rng, with_prior):
+        phi = disk_sdf(24, 20, 9.8, 11.1, 5.5) + 0.3 * rng.normal(size=(24, 20))
+        img = rng.uniform(0, 255, size=phi.shape)
+        g = energy.edge_indicator(img, W.eta, W.sigma)
+        prior = disk_sdf(24, 20, 9.3, 11.6, 6.2) if with_prior else None
+        i_in = rng.uniform(0, 255, size=phi.shape)
+        i_out = rng.uniform(0, 255, size=phi.shape)
+        gx, gy = field.grad(phi)
+        m = np.sqrt(gx * gx + gy * gy + energy.KAPPA * energy.KAPPA)
+        d = energy.dirac_eps(phi, W.eps)
+        f1 = float(np.sum((m - 1.0) ** 2))
+        f3 = float(np.sum(g * energy.heaviside_eps(-phi, W.eps)))
+        f2w = W.xi * g if prior is None else W.xi * g + 0.5 * W.gamma * prior ** 2
+        f2 = float(np.sum(f2w * d * m))
+        f4 = 0.0 if prior is None else energy.energy_f4(img, i_in, i_out, prior, W)
+        total = 0.5 * W.alpha * f1 + f2 + W.beta * f3 + W.nu * f4
+        bd = energy.total_energy(phi, img, g, prior, i_in, i_out, W)
+        assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
+            [v.hex() for v in (f1, f2, f3, f4, total)]
 
 
 class TestWeightsValidation:

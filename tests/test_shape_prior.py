@@ -216,6 +216,38 @@ class TestWarp:
         out = shape_prior.warp(xs, Pose(tau=2.0), outside=np.nan)
         assert abs(out[8, 10] - (8.0 + 2 * 2.0)) < 1e-12
 
+    @staticmethod
+    def _mgrid_warp(f, pose, outside, center_on_domain):
+        # the warp written out on full coordinate grids
+        h, w = f.shape
+        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+        if center_on_domain:
+            cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+        else:
+            cx = cy = 0.0
+        ct, st = np.cos(pose.theta), np.sin(pose.theta)
+        dx = xs - cx
+        dy = ys - cy
+        hx = pose.tau * (ct * dx - st * dy) + cx + pose.tx
+        hy = pose.tau * (st * dx + ct * dy) + cy + pose.ty
+        return field.bilinear_sample(f, hx, hy, outside)
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=st.sampled_from([(1, 1), (1, 9), (9, 1)])
+           | st.tuples(st.integers(1, 24), st.integers(1, 24)),
+           tau=st.sampled_from([shape_prior.TAU_MIN, shape_prior.TAU_MAX])
+           | st.floats(shape_prior.TAU_MIN, shape_prior.TAU_MAX),
+           theta=st.floats(-np.pi, np.pi),
+           tx=st.floats(-30, 30), ty=st.floats(-30, 30),
+           center=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mgrid_formula(self, shape, tau, theta, tx, ty, center, seed):
+        f = np.random.default_rng(seed).normal(size=shape)
+        pose = Pose(tau, theta, tx, ty)
+        out = shape_prior.warp(f, pose, 7.5, center_on_domain=center)
+        want = self._mgrid_warp(f, pose, 7.5, center)
+        assert out.shape == want.shape == shape
+        assert out.tobytes() == want.tobytes()
+
 
 class TestCentroidAlign:
     def test_centered_unchanged(self):

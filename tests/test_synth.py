@@ -7,6 +7,7 @@ from shapeseg.synth import SceneSpec
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestSplitmix64:
@@ -140,6 +141,20 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="finite"):
             SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(width=0, shape=("halfplane", 1.0, 0.0, 5.0)), ">= 1"),
+        (dict(height=0), ">= 1"), (dict(width=-3), ">= 1"),
+        (dict(shape=("disk", 15.5, 15.5, -5.0)), "positive"),
+        (dict(shape=("disk", 15.5, 15.5, 0.0)), "positive"),
+        (dict(shape=("ellipse", 15.5, 15.5, 0.0, 5.0, 0.0)), "positive"),
+        (dict(shape=("ellipse", 15.5, 15.5, 5.0, -1.0, 0.0)), "positive"),
+        (dict(shape=("disk", 15.5, 15.5)), "takes 3 parameters"),
+        (dict(shape=("ellipse", 15.5, 15.5, 5.0, 4.0)), "takes 5 parameters"),
+    ])
+    def test_degenerate_geometry_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+
 
 class TestEllipseTrainingSet:
     def test_count_and_monotone_area(self):
@@ -183,8 +198,8 @@ class TestSceneKv:
         SceneSpec,
         width=st.integers(1, 4096), height=st.integers(1, 4096),
         shape=st.one_of(
-            st.tuples(st.just("disk"), *[FINITE] * 3),
-            st.tuples(st.just("ellipse"), *[FINITE] * 5),
+            st.tuples(st.just("disk"), FINITE, FINITE, POSITIVE),
+            st.tuples(st.just("ellipse"), FINITE, FINITE, POSITIVE, POSITIVE, FINITE),
             st.tuples(st.just("halfplane"), *[FINITE] * 3)),
         fg=FINITE, bg=FINITE,
         noise_std=st.floats(0, allow_infinity=False), noise_seed=st.integers(0, 2 ** 64 - 1),
