@@ -1,6 +1,6 @@
 """Shape-prior level-set segmentation: PCA priors over signed distance
 functions, a four-term variational energy, and projected gradient descent."""
 
-from .cli import __version__
+__version__ = "0.1.0"
 
 __all__ = ["__version__"]

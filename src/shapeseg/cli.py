@@ -13,9 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import contours, descent, energy, field, io, shape_prior, synth
-
-__version__ = "0.1.0"
+from . import __version__, contours, descent, energy, field, io, shape_prior, synth
 
 
 class UsageError(Exception):
@@ -151,6 +149,9 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "energy" and not args.model and (
+                args.lam is not None or args.pose is not None):
+            parser.error("--lambda and --pose need --model")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

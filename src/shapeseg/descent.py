@@ -192,9 +192,8 @@ def grad_params(state: SegmentationState, image, g, model, w: EnergyWeights,
 
 def quad_objective(j: np.ndarray, image: np.ndarray, wgt: np.ndarray,
                    mu: float) -> float:
-    """The quadratic the approximant solver minimizes: sum w*(I-J)^2 + mu*w*|grad J|^2."""
-    gx, gy = field.grad(j)
-    return float(np.sum(wgt * ((image - j) ** 2 + mu * (gx * gx + gy * gy))))
+    """The quadratic the approximant solver minimizes: the wgt-weighted sum of energy.smooth_fit."""
+    return float(np.sum(wgt * energy.smooth_fit(image, j, mu)))
 
 
 def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,

@@ -104,10 +104,10 @@ def dirac_eps_prime(z, eps: float):
     return -2.0 * z / (eps * eps) * dirac_eps(z, eps)
 
 
-def smooth_grad_magnitude(f: np.ndarray):
-    """(gx, gy, m) with m = sqrt(gx^2 + gy^2 + KAPPA^2)."""
+def smooth_grad_magnitude(f: np.ndarray) -> np.ndarray:
+    """|grad f| smoothed as sqrt(gx^2 + gy^2 + KAPPA^2)."""
     gx, gy = field.grad(f)
-    return gx, gy, np.sqrt(gx * gx + gy * gy + KAPPA * KAPPA)
+    return np.sqrt(gx * gx + gy * gy + KAPPA * KAPPA)
 
 
 def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
@@ -124,15 +124,6 @@ def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
     return 1.0 / (1.0 + eta * (gx * gx + gy * gy))
 
 
-def _f1(m: np.ndarray) -> float:
-    return float(np.sum((m - 1.0) ** 2))
-
-
-def _f2(f: np.ndarray, d: np.ndarray, m: np.ndarray) -> float:
-    """F2 from its weight f, dirac(phi) and |grad phi|."""
-    return float(np.sum(f * d * m))
-
-
 def f2_weight(g: np.ndarray, prior_warped, w: EnergyWeights) -> np.ndarray:
     """F2's weight xi*g + (gamma/2)*prior^2; xi*g alone when prior_warped is None."""
     if prior_warped is None:
@@ -140,22 +131,6 @@ def f2_weight(g: np.ndarray, prior_warped, w: EnergyWeights) -> np.ndarray:
     if g.shape != prior_warped.shape:
         raise ValueError("field dimensions differ")
     return w.xi * g + 0.5 * w.gamma * prior_warped ** 2
-
-
-def energy_f1(phi: np.ndarray) -> float:
-    """Sum over pixels of (|grad phi| - 1)^2."""
-    _, _, m = smooth_grad_magnitude(phi)
-    return _f1(m)
-
-
-def energy_f2(phi: np.ndarray, g: np.ndarray, prior_warped: np.ndarray,
-              w: EnergyWeights) -> float:
-    """Sum of [xi*g + (gamma/2)*prior^2] * dirac(phi) * |grad phi|."""
-    if phi.shape != g.shape:
-        raise ValueError("field dimensions differ")
-    f = f2_weight(g, prior_warped, w)
-    _, _, m = smooth_grad_magnitude(phi)
-    return _f2(f, dirac_eps(phi, w.eps), m)
 
 
 def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
@@ -167,66 +142,56 @@ def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
 
 def curve_length(phi: np.ndarray, eps: float) -> float:
     """Regularized zero-set length: sum of dirac(phi) * |grad phi|."""
-    _, _, m = smooth_grad_magnitude(phi)
+    m = smooth_grad_magnitude(phi)
     return float(np.sum(dirac_eps(phi, eps) * m))
+
+
+def smooth_fit(image: np.ndarray, j: np.ndarray, mu: float) -> np.ndarray:
+    """Per-pixel fit of an approximant J to the image: (I - J)^2 + mu*|grad J|^2."""
+    gx, gy = field.grad(j)
+    return (image - j) ** 2 + mu * (gx * gx + gy * gy)
 
 
 def fit_terms(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
               w: EnergyWeights):
-    """F4's per-pixel fits (fit_in, fit_out): (I - J)^2 + mu*|grad J|^2 for each approximant."""
+    """F4's per-pixel fits (fit_in, fit_out), one :func:`smooth_fit` per approximant."""
     if not image.shape == i_in.shape == i_out.shape:
         raise ValueError("field dimensions differ")
-    gx_in, gy_in = field.grad(i_in)
-    gx_out, gy_out = field.grad(i_out)
-    fit_in = (image - i_in) ** 2 + w.mu * (gx_in ** 2 + gy_in ** 2)
-    fit_out = (image - i_out) ** 2 + w.mu * (gx_out ** 2 + gy_out ** 2)
-    return fit_in, fit_out
-
-
-def _f4(fits, prior_warped: np.ndarray, w: EnergyWeights) -> float:
-    """F4 from :func:`fit_terms` and the warped prior."""
-    fit_in, fit_out = fits
-    if fit_in.shape != prior_warped.shape:
-        raise ValueError("field dimensions differ")
-    h_in = heaviside_eps(-prior_warped, w.eps)
-    data = float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
-    return data + w.zeta * curve_length(prior_warped, w.eps)
-
-
-def energy_f4(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
-              prior_warped: np.ndarray, w: EnergyWeights) -> float:
-    """Piecewise-smooth fit inside/outside the prior region plus length penalty.
-
-    The object region is H_eps(-prior_warped) under the negative-inside SDF
-    convention: I_in models the image inside the prior-predicted object.
-    """
-    return _f4(fit_terms(image, i_in, i_out, w), prior_warped, w)
-
-
-def compose_total(f1: float, f2: float, f3: float, f4: float,
-                  w: EnergyWeights) -> float:
-    """Weighted composition (alpha/2)*F1 + F2 + beta*F3 + nu*F4."""
-    return 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4
+    return smooth_fit(image, i_in, w.mu), smooth_fit(image, i_out, w.mu)
 
 
 def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
-    """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3)."""
-    _, _, m = smooth_grad_magnitude(phi)
-    return m, dirac_eps(phi, w.eps), _f1(m), energy_f3(phi, g, w)
+    """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3).
+
+    F1 is the sum over pixels of (|grad phi| - 1)^2.
+    """
+    d = dirac_eps(phi, w.eps)
+    m = smooth_grad_magnitude(phi)
+    return m, d, float(np.sum((m - 1.0) ** 2)), energy_f3(phi, g, w)
 
 
 def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
               w: EnergyWeights) -> EnergyBreakdown:
     """Every term and the total from :func:`phi_terms` and :func:`fit_terms`.
 
-    ``prior_warped`` of None selects the prior-free reduction, and ``fits``
-    is then unused.
+    F2 is the sum of its weight times dirac(phi) times |grad phi|. F4 fits
+    I_in inside the prior region H_eps(-prior_warped) (negative inside) and
+    I_out outside it, plus zeta times the prior's contour length. The total
+    is (alpha/2)*F1 + F2 + beta*F3 + nu*F4. ``prior_warped`` of None selects
+    the prior-free reduction, and ``fits`` is then unused.
     """
     m, d, f1, f3 = phi_t
-    f2 = _f2(f2_weight(g, prior_warped, w), d, m)
-    f4 = 0.0 if prior_warped is None else _f4(fits, prior_warped, w)
+    f2 = float(np.sum(f2_weight(g, prior_warped, w) * d * m))
+    f4 = 0.0
+    if prior_warped is not None:
+        fit_in, fit_out = fits
+        if fit_in.shape != prior_warped.shape:
+            raise ValueError("field dimensions differ")
+        h_in = heaviside_eps(-prior_warped, w.eps)
+        f4 = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
+              + w.zeta * curve_length(prior_warped, w.eps))
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
-                           total=compose_total(f1, f2, f3, f4, w))
+                           total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 
 
 def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,

@@ -46,29 +46,6 @@ def sdf_from_mask(m) -> np.ndarray:
     return np.where(m, -d_in, d_out)
 
 
-def centroid_align(masks):
-    """Translate each mask (nearest-integer) so its centroid is the domain center.
-
-    Raises ValueError if any inside pixel would be shifted out of the domain.
-    """
-    out = []
-    for m in masks:
-        m = as_mask(m)
-        h, w = m.shape
-        ys, xs = np.nonzero(m)
-        cx, cy = xs.mean(), ys.mean()
-        dx = int(round((w - 1) / 2.0 - cx))
-        dy = int(round((h - 1) / 2.0 - cy))
-        nx = xs + dx
-        ny = ys + dy
-        if nx.min() < 0 or ny.min() < 0 or nx.max() >= w or ny.max() >= h:
-            raise ValueError("centroid alignment would clip the mask")
-        shifted = np.zeros_like(m)
-        shifted[ny, nx] = True
-        out.append(shifted)
-    return out
-
-
 @dataclass
 class Pose:
     """Rigid transform parameters: scale tau, rotation theta, translation (tx, ty)."""

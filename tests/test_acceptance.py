@@ -83,7 +83,7 @@ def occluded_disk_setup():
 
 def _local_integrand(phi, g, w):
     """Per-pixel integrand of the phi-dependent energy terms (no prior, no fit)."""
-    _, _, m = energy.smooth_grad_magnitude(phi)
+    m = energy.smooth_grad_magnitude(phi)
     return (0.5 * w.alpha * (m - 1.0) ** 2
             + w.xi * g * energy.dirac_eps(phi, w.eps) * m
             + w.beta * g * energy.heaviside_eps(-phi, w.eps))

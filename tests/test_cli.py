@@ -335,6 +335,23 @@ class TestExitCodes:
         field.write_sfld(descent.default_init_phi((64, 64)), phi_p)
         return img_p, phi_p, write_config(tmp_path)
 
+    @pytest.mark.parametrize("extra", [
+        ["--lambda", "5", "7"],
+        ["--pose", "3", "0", "0", "0"],
+        ["--lambda", "5", "7", "--pose", "3", "0", "0", "0"],
+        ["--lambda"],
+    ])
+    def test_lambda_or_pose_without_model_is_usage_error(self, tmp_path, capsys, extra):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--config", str(cfg_p), *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("usage error:")]
+        assert len(errors) == 1 and "--model" in errors[0]
+        assert captured.out == ""
+
     def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
         data = bytearray(phi_p.read_bytes())
@@ -420,3 +437,13 @@ class TestExitCodes:
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert cli.__version__ in capsys.readouterr().out
+
+    def test_module_run_is_warning_free(self):
+        # importing the package must not import shapeseg.cli ahead of runpy
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "shapeseg.cli", "--version"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == "0.1.0\n"
+        assert proc.stderr == ""

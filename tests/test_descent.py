@@ -51,7 +51,7 @@ def fd_phi_gradient(state, image, g, model, w, pixels, h=1e-4):
             st = SegmentationState(phi=phi, lam=state.lam, pose=state.pose,
                                    i_in=state.i_in, i_out=state.i_out)
             bd = descent.evaluate(st, image, g, model, w)
-            vals.append(energy.compose_total(bd.f1, bd.f2, bd.f3, 0.0, w))
+            vals.append(0.5 * w.alpha * bd.f1 + bd.f2 + w.beta * bd.f3)
             f4s.append(bd.f4)
         assert f4s[0] == f4s[1]
         out[(py, px)] = (vals[0] - vals[1]) / (2 * h)
@@ -184,6 +184,16 @@ class TestSolveSmoothApproximant:
                 a[i, j] = a[j, i] = q(e[i] + e[j]) - qi[i] - qi[j] + q0
         b = qi - q0 - 0.5 * np.diag(a)
         return a, b
+
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 6), (24, 20)])
+    @pytest.mark.parametrize("mu", [0.0, 0.37, 1e3])
+    def test_quad_objective_matches_written_out_formula(self, rng, shape, mu):
+        img = rng.uniform(0, 255, size=shape)
+        j = rng.uniform(0, 255, size=shape)
+        wgt = rng.uniform(0.0, 1.0, size=shape)
+        gx, gy = field.grad(j)
+        want = float(np.sum(wgt * ((img - j) ** 2 + mu * (gx * gx + gy * gy))))
+        assert descent.quad_objective(j, img, wgt, mu).hex() == want.hex()
 
     def test_matches_direct_solve(self, rng):
         img = rng.uniform(0, 10, size=(6, 5))

@@ -11,6 +11,32 @@ from conftest import disk_sdf, grid
 W = EnergyWeights()
 
 
+def f1_of(phi):
+    return energy.total_energy(phi, None, np.ones_like(phi), None, None, None, W).f1
+
+
+def f2_of(phi, g, prior, w):
+    z = np.zeros_like(phi)
+    return energy.total_energy(phi, z, g, prior, z, z, w).f2
+
+
+def f4_of(img, i_in, i_out, prior, w):
+    return energy.total_energy(prior, img, np.ones_like(img), prior, i_in, i_out, w).f4
+
+
+def f4_recipe(img, i_in, i_out, prior, w):
+    """F4 written out in the operation order the descent's bit-identical outputs rely on."""
+    gx_in, gy_in = field.grad(i_in)
+    gx_out, gy_out = field.grad(i_out)
+    fit_in = (img - i_in) ** 2 + w.mu * (gx_in ** 2 + gy_in ** 2)
+    fit_out = (img - i_out) ** 2 + w.mu * (gx_out ** 2 + gy_out ** 2)
+    h_in = energy.heaviside_eps(-prior, w.eps)
+    gx, gy = field.grad(prior)
+    m = np.sqrt(gx * gx + gy * gy + energy.KAPPA * energy.KAPPA)
+    return (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
+            + w.zeta * float(np.sum(energy.dirac_eps(prior, w.eps) * m)))
+
+
 class TestHeavisideDirac:
     def test_zero_is_half(self):
         assert energy.heaviside_eps(0.0, 1.5) == 0.5
@@ -122,21 +148,21 @@ class TestEnergyF1:
     def test_halfplane_sdf_near_zero(self):
         xs, _ = grid(64, 64)
         phi = xs - 32.0
-        gx, gy, m = energy.smooth_grad_magnitude(phi)
+        m = energy.smooth_grad_magnitude(phi)
         contrib = (m - 1.0) ** 2
         assert np.max(contrib[:, :-1][:-1]) < 1e-6
 
     def test_double_slope(self):
         xs, _ = grid(64, 64)
         phi = 2.0 * (xs - 32.0)
-        val = energy.energy_f1(phi)
+        val = f1_of(phi)
         # (2-1)^2 on interior columns, (0-1)^2 on the zero-gradient last column
         want = 1.0 * 64 * 63 + 1.0 * 64
         assert abs(val - want) < 1e-9 * want
 
     def test_constant_field(self):
         # |grad| = 0 everywhere (up to the kappa smoothing floor)
-        val = energy.energy_f1(np.full((32, 32), 5.0))
+        val = f1_of(np.full((32, 32), 5.0))
         assert abs(val - 32 * 32) < 1e-9 * 32 * 32
         assert abs(val - 32 * 32 * (1 - energy.KAPPA) ** 2) < 1e-14 * 32 * 32
 
@@ -145,31 +171,31 @@ class TestEnergyF2:
     def test_far_from_zero_level_set(self):
         phi = np.full((64, 64), 100.0)
         g = np.ones_like(phi)
-        val = energy.energy_f2(phi, g, np.zeros_like(phi), W)
+        val = f2_of(phi, g, np.zeros_like(phi), W)
         assert val <= 1e-3
 
     def test_disk_curve_length(self):
         phi = disk_sdf(128, 128, 63.5, 63.5, 20)
         g = np.ones_like(phi)
         w = EnergyWeights(xi=1.0)
-        val = energy.energy_f2(phi, g, np.zeros_like(phi), w)
+        val = f2_of(phi, g, np.zeros_like(phi), w)
         assert abs(val - 2 * np.pi * 20) / (2 * np.pi * 20) < 0.05
 
     def test_prior_vanishing_on_contour(self):
         phi = disk_sdf(128, 128, 63.5, 63.5, 20)
         g = np.ones_like(phi)
         w = EnergyWeights(xi=1.0, gamma=0.002)
-        with_prior = energy.energy_f2(phi, g, phi, w)
-        xi_only = energy.energy_f2(phi, g, np.zeros_like(phi), w)
+        with_prior = f2_of(phi, g, phi, w)
+        xi_only = f2_of(phi, g, np.zeros_like(phi), w)
         # term-by-term recomposition
-        _, _, m = energy.smooth_grad_magnitude(phi)
+        m = energy.smooth_grad_magnitude(phi)
         prior_term = 0.5 * w.gamma * float(np.sum(phi ** 2 * energy.dirac_eps(phi, w.eps) * m))
         assert abs(with_prior - (xi_only + prior_term)) < 1e-9
         assert abs(with_prior - xi_only) / xi_only < 0.05
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            energy.energy_f2(np.zeros((8, 8)), np.zeros((8, 9)), np.zeros((8, 8)), W)
+            f2_of(np.zeros((8, 8)), np.zeros((8, 9)), np.zeros((8, 8)), W)
 
 
 class TestEnergyF3:
@@ -212,14 +238,14 @@ class TestEnergyF4:
         img = np.random.default_rng(0).uniform(0, 255, size=(32, 32))
         prior = disk_sdf(32, 32, 15.5, 15.5, 8)
         w = EnergyWeights(mu=0.0, zeta=0.0)
-        val = energy.energy_f4(img, img, img, prior, w)
+        val = f4_of(img, img, img, prior, w)
         assert val == 0.0
 
     def test_two_phase_interface_band_residual(self):
         prior = disk_sdf(128, 128, 63.5, 63.5, 20)
         img = np.where(prior < 0, 1.0, 0.0)
         w = EnergyWeights(mu=1e-12, zeta=1e-12)
-        val = energy.energy_f4(img, np.ones_like(img), np.zeros_like(img), prior, w)
+        val = f4_of(img, np.ones_like(img), np.zeros_like(img), prior, w)
         band = np.sum(np.abs(prior) < 3 * w.eps)
         assert val <= 1.0 * band
 
@@ -227,7 +253,7 @@ class TestEnergyF4:
         prior = disk_sdf(128, 128, 63.5, 63.5, 20)
         img = np.zeros_like(prior)
         w = EnergyWeights(mu=1e-12, zeta=1.0)
-        val = energy.energy_f4(img, img, img, prior, w)
+        val = f4_of(img, img, img, prior, w)
         assert abs(val - 2 * np.pi * 20) / (2 * np.pi * 20) < 0.05
 
     def test_intensity_shift_invariance(self, rng):
@@ -235,26 +261,55 @@ class TestEnergyF4:
         i_in = rng.uniform(0, 255, size=(32, 32))
         i_out = rng.uniform(0, 255, size=(32, 32))
         prior = disk_sdf(32, 32, 15.5, 15.5, 8)
-        a = energy.energy_f4(img, i_in, i_out, prior, W)
-        b = energy.energy_f4(img + 40, i_in + 40, i_out + 40, prior, W)
+        a = f4_of(img, i_in, i_out, prior, W)
+        b = f4_of(img + 40, i_in + 40, i_out + 40, prior, W)
         assert abs(a - b) < 1e-10 * max(abs(a), 1.0)
 
     def test_matches_written_out_recipe(self, rng):
-        # F4 in the operation order the descent's bit-identical outputs rely on
         img = rng.uniform(0, 255, size=(24, 20))
         i_in = rng.uniform(0, 255, size=img.shape)
         i_out = rng.uniform(0, 255, size=img.shape)
         prior = disk_sdf(24, 20, 9.3, 11.6, 6.2)
-        gx_in, gy_in = field.grad(i_in)
-        gx_out, gy_out = field.grad(i_out)
-        fit_in = (img - i_in) ** 2 + W.mu * (gx_in ** 2 + gy_in ** 2)
-        fit_out = (img - i_out) ** 2 + W.mu * (gx_out ** 2 + gy_out ** 2)
-        h_in = energy.heaviside_eps(-prior, W.eps)
-        gx, gy = field.grad(prior)
-        m = np.sqrt(gx * gx + gy * gy + energy.KAPPA * energy.KAPPA)
-        want = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
-                + W.zeta * float(np.sum(energy.dirac_eps(prior, W.eps) * m)))
-        assert energy.energy_f4(img, i_in, i_out, prior, W).hex() == want.hex()
+        want = f4_recipe(img, i_in, i_out, prior, W)
+        assert f4_of(img, i_in, i_out, prior, W).hex() == want.hex()
+
+
+class TestFitTerms:
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 6), (24, 20)])
+    @pytest.mark.parametrize("mu", [0.0, 0.37, 1e3])
+    def test_matches_written_out_formula(self, rng, shape, mu):
+        img, i_in, i_out = (rng.uniform(0, 255, size=shape) for _ in range(3))
+        want = []
+        for j in (i_in, i_out):
+            gx, gy = field.grad(j)
+            want.append((img - j) ** 2 + mu * (gx ** 2 + gy ** 2))
+        got = energy.fit_terms(img, i_in, i_out, EnergyWeights(mu=mu))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+class TestBreakdown:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 6), (24, 20)])
+    @pytest.mark.parametrize("fit_scale", [1.0, 1e4])
+    def test_matches_written_out_operation_order(self, seed, shape, fit_scale):
+        # random fields and terms rather than consistent ones, so that a
+        # re-associated product or sum changes some bit of the result; fits of
+        # unit scale keep nu*F4 from swamping the rounding of the other terms
+        r = np.random.default_rng(seed)
+        m, d, g = (r.uniform(0.01, 3.0, size=shape) for _ in range(3))
+        prior = r.normal(scale=4.0, size=shape)
+        fit_in, fit_out = (r.uniform(0, fit_scale, size=shape) for _ in range(2))
+        f1, f3 = (float(v) for v in r.uniform(0, 1e3, size=2))
+        w = EnergyWeights(**{k: float(r.uniform(0.1, 3.0))
+                             for k in ("alpha", "xi", "gamma", "beta", "nu", "zeta")})
+        bd = energy.breakdown((m, d, f1, f3), (fit_in, fit_out), g, prior, w)
+        f2 = float(np.sum((w.xi * g + 0.5 * w.gamma * prior ** 2) * d * m))
+        h_in = energy.heaviside_eps(-prior, w.eps)
+        f4 = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
+              + w.zeta * energy.curve_length(prior, w.eps))
+        total = 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4
+        assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
+            [v.hex() for v in (f1, f2, f3, f4, total)]
 
 
 class TestTotalEnergy:
@@ -266,10 +321,10 @@ class TestTotalEnergy:
         i_in = np.full_like(img, 200.0)
         i_out = np.full_like(img, 50.0)
         bd = energy.total_energy(phi, img, g, prior, i_in, i_out, W)
-        assert bd.f1 == energy.energy_f1(phi)
-        assert bd.f2 == energy.energy_f2(phi, g, prior, W)
+        assert bd.f1 == f1_of(phi)
+        assert bd.f2 == f2_of(phi, g, prior, W)
         assert bd.f3 == energy.energy_f3(phi, g, W)
-        assert bd.f4 == energy.energy_f4(img, i_in, i_out, prior, W)
+        assert bd.f4 == f4_of(img, i_in, i_out, prior, W)
         composed = 0.5 * W.alpha * bd.f1 + bd.f2 + W.beta * bd.f3 + W.nu * bd.f4
         assert abs(bd.total - composed) < 1e-12 * max(abs(composed), 1.0)
 
@@ -314,7 +369,7 @@ class TestTotalEnergy:
         f3 = float(np.sum(g * energy.heaviside_eps(-phi, W.eps)))
         f2w = W.xi * g if prior is None else W.xi * g + 0.5 * W.gamma * prior ** 2
         f2 = float(np.sum(f2w * d * m))
-        f4 = 0.0 if prior is None else energy.energy_f4(img, i_in, i_out, prior, W)
+        f4 = 0.0 if prior is None else f4_recipe(img, i_in, i_out, prior, W)
         total = 0.5 * W.alpha * f1 + f2 + W.beta * f3 + W.nu * f4
         bd = energy.total_energy(phi, img, g, prior, i_in, i_out, W)
         assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \

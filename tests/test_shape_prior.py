@@ -249,35 +249,6 @@ class TestWarp:
         assert out.tobytes() == want.tobytes()
 
 
-class TestCentroidAlign:
-    def test_centered_unchanged(self):
-        m = disk_mask(64, 64, 31.5, 31.5, 10)
-        out = shape_prior.centroid_align([m])[0]
-        assert np.array_equal(out, m)
-
-    def test_offset_disk_centered(self):
-        m = disk_mask(64, 64, 10, 10, 6)
-        out = shape_prior.centroid_align([m])[0]
-        ys, xs = np.nonzero(out)
-        assert abs(xs.mean() - 31.5) <= 0.5 and abs(ys.mean() - 31.5) <= 0.5
-        assert out.sum() == m.sum()
-
-    def test_two_corners_identical(self):
-        m1 = disk_mask(64, 64, 12, 14, 7)
-        m2 = disk_mask(64, 64, 50, 48, 7)
-        a1, a2 = shape_prior.centroid_align([m1, m2])
-        assert np.array_equal(a1, a2)
-
-    def test_clipping_rejected(self):
-        # full-width row plus left-side weight: centering pushes the row's
-        # rightmost pixel out of the domain
-        m = np.zeros((16, 16), dtype=bool)
-        m[8, :] = True
-        m[0:8, 0] = True
-        with pytest.raises(ValueError):
-            shape_prior.centroid_align([m])
-
-
 class TestSmdlFormat:
     def test_roundtrip(self, tmp_path):
         model = shape_prior.build_shape_model(ellipse_sdfs(n=5, size=96), p=3)
