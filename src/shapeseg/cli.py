@@ -149,9 +149,11 @@ def run_cli(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "energy" and not args.model and (
-                args.lam is not None or args.pose is not None):
-            parser.error("--lambda and --pose need --model")
+        if args.command == "energy":
+            if not args.model and (args.lam is not None or args.pose is not None):
+                parser.error("--lambda and --pose need --model")
+            if args.lam == []:
+                parser.error("--lambda needs at least one value")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

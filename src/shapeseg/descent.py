@@ -63,7 +63,7 @@ class SegmentationState:
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
     energy: Optional[float] = None   # accepted total energy, set by step
-    # fields reused within one step: {kind: (inputs, fields)}; see _fields
+    # fields reused within one segment run: {kind: (inputs, fields)}; see _fields
     _memo: Optional[dict] = dc_field(default=None, repr=False, compare=False)
 
 
@@ -81,11 +81,13 @@ def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
 
 
 def _fields(state: SegmentationState, kind: str, compute, *inputs):
-    """compute(*inputs), reused while the step's memo holds it for these very objects.
+    """compute(*inputs), reused while the state's memo holds it for these very objects.
 
-    Entries are keyed on identity, so a new array always misses; ``step``
-    gives each step a fresh memo, so arrays edited in place between steps
-    miss too. Without a memo (outside ``step``) this is compute(*inputs).
+    Entries are keyed on identity, so a new array always misses. ``segment``
+    seeds one memo that lives for its whole run, in which no array is edited
+    in place. A ``step`` handed a memo-less state makes a fresh memo and
+    returns none, so arrays a caller edits in place between steps miss too.
+    Without a memo (outside ``step``) this is compute(*inputs).
     """
     memo = state._memo
     if memo is None:
@@ -217,16 +219,24 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     nf[:, -1] -= 1.0
     nf[-1, :] -= 1.0
     diag = wgt + mu * (wgt * nf + wl + wu)
+    live = diag > 0
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    if rows.size == 0:
+        return jp[1:-1, 1:-1].copy()
+    # pixels with diag <= 0 are never written, so sweep only their bounding box
+    y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
     wi = wgt * image
     # colour c (red, then black) is two strided sublattices: rows r::2, columns (c + r)::2
     subs = []
     for c in (0, 1):
         for r in (0, 1):
-            c0 = (c + r) % 2
+            # the first row and column of the box with the sublattice's global parity
+            ry = y0 + (r - y0) % 2
+            cx = x0 + ((c + r) - x0) % 2
             # j on the sublattice, then its right, lower, left and upper neighbours
-            views = [jp[1 + r + dy:h + 1 + dy:2, 1 + c0 + dx:w + 1 + dx:2]
+            views = [jp[1 + ry + dy:y1 + 1 + dy:2, 1 + cx + dx:x1 + 1 + dx:2]
                      for dy, dx in ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))]
-            s = (slice(r, h, 2), slice(c0, w, 2))
+            s = (slice(ry, y1, 2), slice(cx, x1, 2))
             coef = [np.ascontiguousarray(a[s]) for a in (wi, wgt, wl, wu, diag)]
             subs.append((views, *coef, coef[-1] > 0))
     for _ in range(sweeps):
@@ -247,11 +257,18 @@ def refresh_approximants(state: SegmentationState, image, model,
 
 def step(state: SegmentationState, image, g, model, w: EnergyWeights,
          cfg: DescentConfig) -> SegmentationState:
-    """One outer iteration: approximant refresh, parameter step, phi step."""
+    """One outer iteration: approximant refresh, parameter step, phi step.
+
+    A state carrying a memo (inside ``segment``) keeps it, so the fields of
+    the phi the previous step accepted are not computed again; a memo-less
+    state gets a fresh memo for this step and its result carries none.
+    """
+    carried = state._memo is not None
+    memo = state._memo if carried else {}
     if model is not None:
         state = refresh_approximants(state, image, model, w, cfg)
     # the trial states below are replace()d from this one and share its memo
-    state = replace(state, _memo={})
+    state = replace(state, _memo=memo)
     e_base = evaluate(state, image, g, model, w).total
 
     def gate(state, e_base, trial_at):
@@ -281,7 +298,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     state = replace(state, iter=state.iter + 1, energy=e_base)
     if state.iter % cfg.record_every == 0:
         state.trace.append(evaluate(state, image, g, model, w))
-    return replace(state, _memo=None)
+    return state if carried else replace(state, _memo=None)
 
 
 def default_init_phi(shape) -> np.ndarray:
@@ -324,6 +341,8 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     state = init_state(image, model, w, phi0)
     if cfg.max_iters == 0:
         return state
+    # one memo for the whole run: each step starts from the fields the last one left
+    state = replace(state, _memo={})
     prev = evaluate(state, image, g, model, w).total
     flat = 0
     for _ in range(cfg.max_iters):
@@ -336,7 +355,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
         else:
             flat = 0
         prev = cur
-    return state
+    return replace(state, _memo=None)
 
 
 def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:

@@ -352,6 +352,29 @@ class TestExitCodes:
         assert len(errors) == 1 and "--model" in errors[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("extra", [
+        ["--lambda"],
+        ["--lambda", "--pose", "1", "0", "0", "0"],
+        ["--pose", "1", "0", "0", "0", "--lambda"],
+    ])
+    def test_lambda_without_values_is_usage_error(self, tmp_path, capsys, extra):
+        # an empty --lambda used to print the energy at lambda = 0
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        masks = [synth.render(synth.SceneSpec(width=64, height=64,
+                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+                 for r in (9, 11, 13)]
+        model_p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(shape_prior.build_shape_model(
+            [shape_prior.sdf_from_mask(m) for m in masks], p=2), model_p)
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p),
+                        "--model", str(model_p), "--config", str(cfg_p), *extra])
+        assert code == 1
+        captured = capsys.readouterr()
+        errors = [ln for ln in captured.err.splitlines() if ln.startswith("usage error:")]
+        assert len(errors) == 1 and "--lambda" in errors[0]
+        assert captured.out == ""
+
     def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
         data = bytearray(phi_p.read_bytes())

@@ -271,6 +271,40 @@ class TestSolveSmoothApproximant:
         want = self._scalar_red_black(img, wgt, mu, 4, warm)
         assert np.array_equal(got, want)
 
+    # (shape, live block as (row, column) slices): blocks at every parity of
+    # row and column offset, one live pixel at each corner and edge, thin
+    # grids, and empty blocks (an all-zero weight returns the warm start)
+    BLOCKS = [
+        ((12, 13), (slice(2, 7), slice(4, 10))),
+        ((12, 13), (slice(3, 8), slice(5, 9))),
+        ((12, 13), (slice(2, 9), slice(5, 8))),
+        ((12, 13), (slice(3, 6), slice(4, 11))),
+        ((12, 13), (slice(5, 6), slice(7, 8))),
+        ((12, 13), (slice(1, 12), slice(0, 2))),
+        *[((9, 8), (slice(y, y + 1), slice(x, x + 1)))
+          for y, x in ((0, 0), (0, 7), (8, 0), (8, 7), (0, 3), (8, 4), (4, 0), (3, 7))],
+        ((1, 11), (slice(0, 1), slice(3, 8))),
+        ((1, 11), (slice(0, 1), slice(4, 5))),
+        ((11, 1), (slice(4, 9), slice(0, 1))),
+        ((11, 1), (slice(3, 4), slice(0, 1))),
+        ((7, 6), (slice(0, 0), slice(0, 0))),
+        ((1, 9), (slice(0, 0), slice(0, 0))),
+    ]
+
+    @pytest.mark.parametrize("shape,block", BLOCKS)
+    @pytest.mark.parametrize("mu", [0.0, 0.37, 1e3])
+    def test_live_block_matches_scalar_reference(self, shape, block, mu):
+        # the weight is zero outside the block (and in a few pixels inside it)
+        rng = np.random.default_rng(shape[0] * 131 + block[0].start * 17 + block[1].start)
+        img = rng.uniform(0, 255, size=shape)
+        wgt = np.zeros(shape)
+        wgt[block] = rng.uniform(0.05, 1.0, size=wgt[block].shape)
+        wgt[block][rng.uniform(size=wgt[block].shape) < 0.2] = 0.0
+        warm = rng.normal(100, 50, size=shape)
+        got = descent.solve_smooth_approximant(img, wgt, mu, 4, warm)
+        want = self._scalar_red_black(img, wgt, mu, 4, warm)
+        assert np.array_equal(got, want) and got is not warm
+
     def test_negative_mu_rejected(self):
         with pytest.raises(ValueError):
             descent.solve_smooth_approximant(np.zeros((4, 4)), np.ones((4, 4)),
@@ -506,6 +540,77 @@ class TestFieldsComputedOncePerStep:
         assert [_bits(bd) for bd in a.trace] == [_bits(bd) for bd in b.trace]
         if model is not None:
             assert a.lam.tobytes() == b.lam.tobytes() and a.pose == b.pose
+
+
+def _segment_memo_free(image, model, w, cfg):
+    """``segment`` written out as a loop of steps on memo-less states."""
+    image = field.as_field(image)
+    g = energy.edge_indicator(image, w.eta, w.sigma)
+    state = descent.init_state(image, model, w)
+    prev = descent.evaluate(state, image, g, model, w).total
+    flat = 0
+    for _ in range(cfg.max_iters):
+        state = descent.step(state, image, g, model, w, cfg)
+        assert state._memo is None
+        if abs(prev - state.energy) < cfg.tol * max(abs(prev), 1.0):
+            flat += 1
+            if flat >= 20:
+                break
+        else:
+            flat = 0
+        prev = state.energy
+    return state
+
+
+class TestMemoCarriedAcrossSteps:
+    """``segment`` keeps one memo for its whole run and computes what memo-free steps compute."""
+
+    W = EnergyWeights(gamma=0.05)
+    IMAGE = field.gaussian_convolve(
+        np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    @pytest.mark.parametrize("cfg,stagnates", [
+        (DescentConfig(max_iters=30), False),
+        (DescentConfig(max_iters=30, record_every=7), False),
+        (DescentConfig(max_iters=400, tol=1e-4), True),
+        (DescentConfig(max_iters=400, tol=1e-4, record_every=7), True),
+    ], ids=["every1", "every7", "stagnation", "stagnation-every7"])
+    def test_segment_equals_memo_free_steps(self, disk_model, with_model, cfg, stagnates):
+        model = disk_model if with_model else None
+        got = descent.segment(self.IMAGE, model, self.W, cfg)
+        want = _segment_memo_free(self.IMAGE, model, self.W, cfg)
+        assert (got.iter < cfg.max_iters) == stagnates
+        assert got.iter == want.iter
+        assert got.phi.tobytes() == want.phi.tobytes()
+        assert got.energy.hex() == want.energy.hex()
+        assert len(got.trace) == got.iter // cfg.record_every
+        assert [_bits(bd) for bd in got.trace] == [_bits(bd) for bd in want.trace]
+        if model is not None:
+            assert got.lam.tobytes() == want.lam.tobytes() and got.pose == want.pose
+        assert got._memo is None
+
+    def test_step_keeps_the_memo_it_is_handed(self):
+        g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
+        memo = {}
+        state = SegmentationState(phi=smooth_phi(48, 48), _memo=memo)
+        for _ in range(2):
+            state = descent.step(state, self.IMAGE, g, None, self.W, DescentConfig())
+            assert state._memo is memo and memo["phi"][0][0] is state.phi
+
+    def test_phi_terms_once_per_distinct_phi(self, monkeypatch):
+        real = energy.phi_terms
+        seen = []
+
+        def phi_terms(phi, g, w):
+            seen.append(phi.tobytes())
+            return real(phi, g, w)
+
+        monkeypatch.setattr(energy, "phi_terms", phi_terms)
+        state = descent.segment(self.IMAGE, None, self.W, DescentConfig(max_iters=60))
+        assert state.iter == 60
+        # the initial phi, then at least one trial per step
+        assert 61 <= len(seen) == len(set(seen))
 
 
 class TestInitState:
