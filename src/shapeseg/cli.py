@@ -114,6 +114,7 @@ def _cmd_energy(args) -> int:
     w, cfg = _load_config(args.config)
     g = energy.edge_indicator(image, w.eta, w.sigma)
     model = shape_prior.read_smdl(args.model) if args.model else None
+    descent.check_model_grid(model, image)
     state = descent.SegmentationState(phi=phi)
     if model is not None:
         # one warm start serves both approximants: the solver copies it

@@ -73,6 +73,13 @@ def far_outside(shape) -> float:
     return float(np.hypot(w, h))
 
 
+def check_model_grid(model: Optional[ShapeModel], image: np.ndarray) -> None:
+    """Raise ValueError, naming both grids, unless the model lives on the image's grid."""
+    if model is not None and model.mean.shape != image.shape:
+        (mh, mw), (ih, iw) = model.mean.shape, image.shape
+        raise ValueError(f"model grid {mw}x{mh} does not match image grid {iw}x{ih}")
+
+
 def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
     """Synthesize the shape at lam and warp it by the pose."""
     synth = shape_prior.synthesize_shape(model, lam)
@@ -239,9 +246,20 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             s = (slice(ry, y1, 2), slice(cx, x1, 2))
             coef = [np.ascontiguousarray(a[s]) for a in (wi, wgt, wl, wu, diag)]
             subs.append((views, *coef, coef[-1] > 0))
+    # the sweeps read only the sublattice copies: free the full-size fields, then
+    # take two work arrays for the right-hand side, shared by the sublattices
+    del wi, wl, wu, nf, diag, live
+    work = np.empty((2, max(sub[1].size for sub in subs)))
+    subs = [(*sub, *(a[:sub[1].size].reshape(sub[1].shape) for a in work)) for sub in subs]
     for _ in range(sweeps):
-        for (j, jr, jd, jl, ju), wi_s, wgt_s, wl_s, wu_s, diag_s, pos in subs:
-            rhs = wi_s + mu * (wgt_s * (jr + jd) + wl_s * jl + wu_s * ju)
+        for (j, jr, jd, jl, ju), wi_s, wgt_s, wl_s, wu_s, diag_s, pos, rhs, t in subs:
+            # rhs = wi_s + mu*(wgt_s*(jr + jd) + wl_s*jl + wu_s*ju), in place
+            np.add(jr, jd, out=rhs)
+            rhs *= wgt_s
+            rhs += np.multiply(wl_s, jl, out=t)
+            rhs += np.multiply(wu_s, ju, out=t)
+            rhs *= mu
+            rhs += wi_s
             np.divide(rhs, diag_s, out=j, where=pos)
     return jp[1:-1, 1:-1].copy()
 
@@ -337,6 +355,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
             cfg: DescentConfig, phi0: Optional[np.ndarray] = None) -> SegmentationState:
     """Run the descent until max_iters or sustained relative stagnation."""
     image = field.as_field(image)
+    check_model_grid(model, image)
     g = energy.edge_indicator(image, w.eta, w.sigma)
     state = init_state(image, model, w, phi0)
     if cfg.max_iters == 0:

@@ -130,7 +130,10 @@ def f2_weight(g: np.ndarray, prior_warped, w: EnergyWeights) -> np.ndarray:
         return w.xi * g
     if g.shape != prior_warped.shape:
         raise ValueError("field dimensions differ")
-    return w.xi * g + 0.5 * w.gamma * prior_warped ** 2
+    out = np.square(prior_warped)
+    out *= 0.5 * w.gamma
+    out += w.xi * g
+    return out
 
 
 def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
@@ -143,7 +146,8 @@ def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
 def curve_length(phi: np.ndarray, eps: float) -> float:
     """Regularized zero-set length: sum of dirac(phi) * |grad phi|."""
     m = smooth_grad_magnitude(phi)
-    return float(np.sum(dirac_eps(phi, eps) * m))
+    m *= dirac_eps(phi, eps)
+    return float(np.sum(m))
 
 
 def smooth_fit(image: np.ndarray, j: np.ndarray, mu: float) -> np.ndarray:
@@ -187,9 +191,14 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
         fit_in, fit_out = fits
         if fit_in.shape != prior_warped.shape:
             raise ValueError("field dimensions differ")
+        # fit_in*h_in + fit_out*(1 - h_in), built in h_in's buffer; the fits
+        # are shared with the caller's memo and stay untouched
         h_in = heaviside_eps(-prior_warped, w.eps)
-        f4 = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
-              + w.zeta * curve_length(prior_warped, w.eps))
+        fit = fit_in * h_in
+        np.subtract(1.0, h_in, out=h_in)
+        h_in *= fit_out
+        fit += h_in
+        f4 = float(np.sum(fit)) + w.zeta * curve_length(prior_warped, w.eps)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 

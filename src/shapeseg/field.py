@@ -107,36 +107,63 @@ def gaussian_convolve(f: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
+def bilinear_geometry(shape, x, y):
+    """Where :func:`bilinear_gather` reads to sample a field of ``shape`` at (x, y).
+
+    Returns (beyond, i00, dx, dy, fx, fy): the mask of coordinates outside
+    [0, w-1] x [0, h-1], the index of each sample's upper-left corner in the
+    raveled field, the offsets of its right and lower neighbours (0 on a
+    1-wide axis) and the fractions toward them. None of it depends on the
+    field's values, so one geometry serves every field of that shape.
+    """
+    h, w = shape
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    beyond = ~((x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1))
+    # fx, fy start as clamped copies of x, y and x0, y0 as the corners, on
+    # floats; + 0.0 turns floor(-0.0) into 0.0, so a sample at x = -0.0 keeps
+    # fx = -0.0 - 0.0 = -0.0, as with integer corners
+    fx = np.clip(x, 0, w - 1)
+    fy = np.clip(y, 0, h - 1)
+    x0 = np.minimum(np.floor(fx), max(w - 2, 0))
+    y0 = np.minimum(np.floor(fy), max(h - 2, 0))
+    x0 += 0.0
+    y0 += 0.0
+    fx -= x0
+    fy -= y0
+    y0 *= w
+    y0 += x0
+    return beyond, y0.astype(np.intp), 1 if w > 1 else 0, w if h > 1 else 0, fx, fy
+
+
+def bilinear_gather(f: np.ndarray, geometry, outside: float) -> np.ndarray:
+    """Bilinear samples of ``f`` at a :func:`bilinear_geometry`, ``outside`` beyond the domain."""
+    beyond, i00, dx, dy, fx, fy = geometry
+    flat = f.ravel()
+    wx0 = 1 - fx
+    wy0 = 1 - fy
+    # (f00*wx0)*wy0 + (f10*fx)*wy0 + (f01*wx0)*fy + (f11*fx)*fy, accumulated in
+    # place, reading flat[i00 + off] as flat[off:].take(i00); every index is in
+    # range by construction, and mode="wrap" skips the default mode's range check
+    val = np.asarray(flat.take(i00, mode="wrap"))     # a 0-d array for one sample
+    val *= wx0
+    val *= wy0
+    t = np.empty_like(val)
+    for off, a, b in ((dx, fx, wy0), (dy, wx0, fy), (dy + dx, fx, fy)):
+        flat[off:].take(i00, out=t, mode="wrap")
+        t *= a
+        t *= b
+        val += t
+    np.copyto(val, outside, where=beyond)
+    return val
+
+
 def bilinear_sample(f: np.ndarray, x, y, outside: float):
     """Bilinearly interpolate ``f`` at real coordinates, ``outside`` beyond the domain.
 
     ``x`` and ``y`` may be scalars or arrays of matching shape; the valid
     domain is [0, w-1] x [0, h-1].
     """
-    h, w = f.shape
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    valid = (x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1)
-    xc = np.clip(x, 0, w - 1)
-    yc = np.clip(y, 0, h - 1)
-    x0 = np.minimum(np.floor(xc).astype(np.intp), w - 2) if w > 1 else np.zeros_like(xc, dtype=np.intp)
-    y0 = np.minimum(np.floor(yc).astype(np.intp), h - 2) if h > 1 else np.zeros_like(yc, dtype=np.intp)
-    fx = xc - x0
-    fy = yc - y0
-    wx0 = 1 - fx
-    wy0 = 1 - fy
-    # corner offsets in the raveled field; a 1-wide axis has no second corner
-    dx = 1 if w > 1 else 0
-    dy = w if h > 1 else 0
-    flat = f.ravel()
-    i00 = y0 * w + x0
-    val = (
-        flat.take(i00) * wx0 * wy0
-        + flat.take(i00 + dx) * fx * wy0
-        + flat.take(i00 + dy) * wx0 * fy
-        + flat.take(i00 + (dy + dx)) * fx * fy
-    )
-    out = np.where(valid, val, outside)
+    out = bilinear_gather(f, bilinear_geometry(f.shape, x, y), outside)
     return float(out) if out.ndim == 0 else out
 
 

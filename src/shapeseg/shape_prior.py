@@ -7,6 +7,7 @@ pose (scale, rotation, translation) warps a synthesized shape onto the image
 grid.
 """
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -80,18 +81,41 @@ def warp(f: np.ndarray, pose: Pose, outside: float,
     By default c is the domain center; set ``center_on_domain=False`` for the
     literal origin-centered map h(x) = tau*R*x + T.
     """
-    h, w = f.shape
+    geometry = _warp_geometry(f.shape, pose.as_vector().tobytes(), center_on_domain)
+    return field.bilinear_gather(f, geometry, outside)
+
+
+@functools.lru_cache(maxsize=1)
+def _warp_geometry(shape, pose_bytes: bytes, center_on_domain: bool):
+    """Read-only :func:`field.bilinear_geometry` of a pose's map on a grid of ``shape``.
+
+    The pose is keyed by its exact bytes (so 0.0 and -0.0 differ). The
+    descent warps runs of fields through one pose, so the last pose is kept.
+    """
+    tau, theta, tx, ty = np.frombuffer(pose_bytes)
+    h, w = shape
     if center_on_domain:
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     else:
         cx = cy = 0.0
-    ct, st = np.cos(pose.theta), np.sin(pose.theta)
+    ct, st = np.cos(theta), np.sin(theta)
     # an x-offset row and a y-offset column, broadcast to the grid in hx and hy
     dx = np.arange(w, dtype=np.float64) - cx
     dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
-    hx = pose.tau * (ct * dx - st * dy) + cx + pose.tx
-    hy = pose.tau * (st * dx + ct * dy) + cy + pose.ty
-    return field.bilinear_sample(f, hx, hy, outside)
+    # tau*(ct*dx - st*dy) + cx + tx and its y twin, in place
+    hx = ct * dx - st * dy
+    hx *= tau
+    hx += cx
+    hx += tx
+    hy = st * dx + ct * dy
+    hy *= tau
+    hy += cy
+    hy += ty
+    geometry = field.bilinear_geometry(shape, hx, hy)
+    for a in geometry:
+        if isinstance(a, np.ndarray):
+            a.flags.writeable = False
+    return geometry
 
 
 @dataclass

@@ -375,6 +375,29 @@ class TestExitCodes:
         assert len(errors) == 1 and "--lambda" in errors[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_model_grid_mismatch_is_one_data_error(self, tmp_path, capsys, command):
+        # a model of 48x40 masks on a 64x64 image used to fail with NumPy's
+        # "operands could not be broadcast together" text
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        masks = [synth.render(synth.SceneSpec(width=48, height=40,
+                                              shape=("disk", 23.5, 19.5, float(r))))[1]
+                 for r in (9, 11, 13)]
+        model_p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(shape_prior.build_shape_model(
+            [shape_prior.sdf_from_mask(m) for m in masks], p=2), model_p)
+        out = tmp_path / "run"
+        argv = {"segment": ["--out-dir", str(out)], "energy": ["--phi", str(phi_p)]}[command]
+        capsys.readouterr()
+        code = run_cli([command, "--image", str(img_p), "--model", str(model_p),
+                        "--config", str(cfg_p), *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: model grid 48x40 does not match image grid 64x64"]
+        assert captured.out == ""
+        assert not (out / "phi.sfld").exists()
+
     def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
         data = bytearray(phi_p.read_bytes())

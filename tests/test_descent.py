@@ -367,6 +367,12 @@ class TestStepAndSegment:
         assert state.iter == 0 and state.trace == []
         assert np.array_equal(state.phi, descent.default_init_phi(img.shape))
 
+    def test_model_grid_mismatch_is_rejected(self, disk_model):
+        img = np.full((40, 56), 100.0)
+        with pytest.raises(ValueError) as exc:
+            descent.segment(img, disk_model, W, DescentConfig(max_iters=3))
+        assert str(exc.value) == "model grid 48x48 does not match image grid 56x40"
+
     def test_nan_image_aborts(self):
         img = self._disk_scene(size=32, r=8)
         img[5, 5] = np.nan
@@ -540,6 +546,72 @@ class TestFieldsComputedOncePerStep:
         assert [_bits(bd) for bd in a.trace] == [_bits(bd) for bd in b.trace]
         if model is not None:
             assert a.lam.tobytes() == b.lam.tobytes() and a.pose == b.pose
+
+
+def _array_bytes(obj):
+    """The bytes of every array reachable through tuples, lists and dicts, in order."""
+    if isinstance(obj, np.ndarray):
+        return [obj.tobytes()]
+    if isinstance(obj, (tuple, list)):
+        return [b for o in obj for b in _array_bytes(o)]
+    if isinstance(obj, dict):
+        return [b for k in sorted(obj) for b in _array_bytes(obj[k])]
+    return []
+
+
+class TestKernelsLeaveInputsUntouched:
+    """No kernel writes into the state, the memo's fields, the model, the image or g."""
+
+    W = EnergyWeights(gamma=0.05)
+
+    @pytest.fixture(params=[False, True], ids=["prior_free", "model"])
+    def scene(self, request, disk_model):
+        img = field.gaussian_convolve(
+            np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
+        g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
+        if not request.param:
+            state = SegmentationState(phi=smooth_phi(48, 48), _memo={})
+            descent.evaluate(state, img, g, None, self.W)     # fills the memo
+            return img, g, None, state
+        state = replace(descent.init_state(img, disk_model, self.W),
+                        phi=smooth_phi(48, 48, seed=5), lam=np.array([0.3, -0.2]),
+                        pose=Pose(1.05, 0.1, 0.4, -0.3), _memo={})
+        descent.evaluate(state, img, g, disk_model, self.W)
+        assert set(state._memo) == {"phi", "fit"}
+        return img, g, disk_model, state
+
+    @staticmethod
+    def _inputs(img, g, model, state, *extra):
+        pose = None if state.pose is None else state.pose.as_vector()
+        models = [] if model is None else [model.mean, model.modes]
+        return _array_bytes([state.phi, state.lam, pose, state.i_in, state.i_out,
+                             state._memo, *models, img, g, *extra])
+
+    def test_descent_kernels(self, scene):
+        img, g, model, state = scene
+        before = self._inputs(img, g, model, state)
+        calls = [lambda: descent.evaluate(state, img, g, model, self.W),
+                 lambda: descent.grad_phi_total(state, img, g, model, self.W)]
+        if model is not None:
+            calls += [lambda: descent.grad_params(state, img, g, model, self.W, 1e-3),
+                      lambda: descent.refresh_approximants(state, img, model, self.W,
+                                                           DescentConfig())]
+        for call in calls:
+            call()
+            assert self._inputs(img, g, model, state) == before
+
+    def test_breakdown_and_warp(self, scene):
+        img, g, model, state = scene
+        phi_t = state._memo["phi"][1]
+        fits = None if model is None else state._memo["fit"][1]
+        pw = None if model is None else descent.prior_field(model, state.lam, state.pose)
+        before = self._inputs(img, g, model, state, phi_t, fits, pw)
+        for _ in range(2):
+            energy.breakdown(phi_t, fits, g, pw, self.W)
+            assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
+        for _ in range(2):   # a fresh geometry, then the kept one
+            shape_prior.warp(g, Pose(1.05, 0.1, 0.4, -0.3), 99.0)
+            assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
 
 
 def _segment_memo_free(image, model, w, cfg):

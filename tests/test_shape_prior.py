@@ -249,6 +249,40 @@ class TestWarp:
         assert out.tobytes() == want.tobytes()
 
 
+    def test_repeated_and_alternating_poses_match_fresh_warps(self, rng):
+        # warp keeps the sampling geometry of its last (grid shape, pose, centre
+        # flag); a sequence that repeats and alternates them, with the same pose
+        # on two grid shapes of one size and under both centre flags, must
+        # still equal the warp written out afresh every time
+        f, g = rng.normal(size=(2, 20, 24))
+        t = rng.normal(size=(24, 20))
+        a, b = Pose(1.1, 0.3, 1.5, -2.0), Pose(0.9, -0.2, -1.0, 0.5)
+        calls = [(f, a, True), (f, a, True), (g, a, True), (f, b, True), (g, a, True),
+                 (t, a, True), (t, a, True), (f, a, True), (f, a, False), (g, a, False),
+                 (f, a, True), (t, a, False), (t, b, False), (f, b, False), (f, b, True)]
+        shape_prior._warp_geometry.cache_clear()
+        for fld, pose, center in calls:
+            out = shape_prior.warp(fld, pose, 7.5, center_on_domain=center)
+            want = self._mgrid_warp(fld, pose, 7.5, center)
+            assert out.shape == want.shape == fld.shape
+            assert out.tobytes() == want.tobytes()
+        repeats = sum(p[0].shape == q[0].shape and p[1:] == q[1:]
+                      for p, q in zip(calls, calls[1:]))
+        assert shape_prior._warp_geometry.cache_info().hits == repeats == 4
+
+    def test_cached_geometry_is_read_only(self, rng):
+        f = rng.normal(size=(12, 10))
+        pose = Pose(1.2, 0.4, 0.5, -0.5)
+        first = shape_prior.warp(f, pose, 0.0)
+        geometry = shape_prior._warp_geometry(f.shape, pose.as_vector().tobytes(), True)
+        arrays = [a for a in geometry if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = a[0, 1]
+        assert shape_prior.warp(f, pose, 0.0).tobytes() == first.tobytes()
+
+
 class TestSmdlFormat:
     def test_roundtrip(self, tmp_path):
         model = shape_prior.build_shape_model(ellipse_sdfs(n=5, size=96), p=3)
