@@ -80,7 +80,7 @@ def _cmd_build_model(args) -> int:
     masks = [io.read_pgm(p) > 127 for p in args.masks]
     sdfs = [shape_prior.sdf_from_mask(m) for m in masks]
     model = shape_prior.build_shape_model(sdfs, args.modes)
-    shape_prior.write_smdl(model, args.out, n_training=len(masks))
+    shape_prior.write_smdl(model, args.out)
     share = model.variances / max(model.variances.sum(), 1e-300)
     print(f"model: {len(masks)} shapes, {model.p} modes, "
           f"first-mode variance share {share[0]:.3f}")

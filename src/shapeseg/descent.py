@@ -83,8 +83,7 @@ def check_model_grid(model: Optional[ShapeModel], image: np.ndarray) -> None:
 def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
     """Synthesize the shape at lam and warp it by the pose."""
     synth = shape_prior.synthesize_shape(model, lam)
-    return shape_prior.warp(synth, pose, far_outside(synth.shape),
-                            center_on_domain=model.center_on_domain)
+    return shape_prior.warp(synth, pose, far_outside(synth.shape))
 
 
 def _fields(state: SegmentationState, kind: str, compute, *inputs):
@@ -157,13 +156,13 @@ def _params(state: SegmentationState) -> np.ndarray:
 def _with_params(state: SegmentationState, x) -> SegmentationState:
     """The state with lambda and the pose unpacked from ``x`` (the pose clamped)."""
     p = len(state.lam)
-    return replace(state, lam=x[:p], pose=state.pose.replaced(x[p:]))
+    return replace(state, lam=x[:p], pose=Pose(*map(float, x[p:])))
 
 
 def _param_boxes(model: ShapeModel):
     """(lo, hi) bounds for the packed (lambda..., tau, theta, tx, ty) vector."""
     # a placement that keeps part of the prior on the grid needs |T| of at most
-    # (1 + TAU_MAX) diagonals, under the centred and the origin-centred map
+    # (1 + TAU_MAX) diagonals
     h, w = model.mean.shape
     t = (1.0 + TAU_MAX) * np.hypot(w - 1, h - 1)
     box = model.lambda_box

@@ -59,34 +59,22 @@ class Pose:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.tau, self.theta, self.tx, self.ty))):
             raise ValueError("pose parameters must be finite")
-        self.clamp()
-
-    def clamp(self):
-        """Project the parameters into their admissible box (theta wraps)."""
+        # project into the admissible box (theta wraps)
         self.tau = float(min(max(self.tau, TAU_MIN), TAU_MAX))
         self.theta = float((self.theta + np.pi) % (2 * np.pi) - np.pi)
-        return self
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.tau, self.theta, self.tx, self.ty])
 
-    def replaced(self, v) -> "Pose":
-        return Pose(*map(float, v))
 
-
-def warp(f: np.ndarray, pose: Pose, outside: float,
-         center_on_domain: bool = True) -> np.ndarray:
-    """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T.
-
-    By default c is the domain center; set ``center_on_domain=False`` for the
-    literal origin-centered map h(x) = tau*R*x + T.
-    """
-    geometry = _warp_geometry(f.shape, pose.as_vector().tobytes(), center_on_domain)
+def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
+    """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre."""
+    geometry = _warp_geometry(f.shape, pose.as_vector().tobytes())
     return field.bilinear_gather(f, geometry, outside)
 
 
 @functools.lru_cache(maxsize=1)
-def _warp_geometry(shape, pose_bytes: bytes, center_on_domain: bool):
+def _warp_geometry(shape, pose_bytes: bytes):
     """Read-only :func:`field.bilinear_geometry` of a pose's map on a grid of ``shape``.
 
     The pose is keyed by its exact bytes (so 0.0 and -0.0 differ). The
@@ -94,10 +82,7 @@ def _warp_geometry(shape, pose_bytes: bytes, center_on_domain: bool):
     """
     tau, theta, tx, ty = np.frombuffer(pose_bytes)
     h, w = shape
-    if center_on_domain:
-        cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    else:
-        cx = cy = 0.0
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     ct, st = np.cos(theta), np.sin(theta)
     # an x-offset row and a y-offset column, broadcast to the grid in hx and hy
     dx = np.arange(w, dtype=np.float64) - cx
@@ -125,7 +110,7 @@ class ShapeModel:
     mean: np.ndarray
     modes: np.ndarray            # (p, h, w), L2-orthonormal
     variances: np.ndarray        # (p,), descending
-    center_on_domain: bool = True
+    n_training: int = 0          # training shapes the model was built from
 
     @property
     def lambda_box(self) -> np.ndarray:
@@ -166,21 +151,22 @@ def build_shape_model(sdfs, p: int) -> ShapeModel:
     modes = np.empty((p, stack.shape[1]))
     for k in range(p):
         u = centered.T @ evecs[:, order[k]]
-        norm = np.linalg.norm(u)
+        norm = float(np.sqrt(np.sum(u * u)))   # fixed order: no threaded BLAS
         if norm <= 1e-12:
             # zero-spread direction: fall back to an arbitrary unit vector
             # orthogonal to the ones already chosen
             u = np.zeros(stack.shape[1])
             u[k] = 1.0
             for j in range(k):
-                u -= (u @ modes[j]) * modes[j]
-            norm = np.linalg.norm(u)
+                u -= np.sum(u * modes[j]) * modes[j]
+            norm = float(np.sqrt(np.sum(u * u)))
         modes[k] = u / norm
 
     return ShapeModel(
         mean=mean.reshape(shape),
         modes=modes.reshape(p, *shape),
         variances=evals / n,
+        n_training=n,
     )
 
 
@@ -194,18 +180,18 @@ def synthesize_shape(model: ShapeModel, lam) -> np.ndarray:
     return model.mean + np.tensordot(lam, model.modes, axes=1)
 
 
-def write_smdl(model: ShapeModel, path, n_training: int = 0) -> None:
+def write_smdl(model: ShapeModel, path) -> None:
     """Write a shape model in the SMDL binary format (bit-exact round trip)."""
     h, w = model.mean.shape
     with open(path, "wb") as fh:
         fh.write(SMDL_MAGIC)
-        fh.write(struct.pack("<IIIII", 1, w, h, n_training, model.p))
+        fh.write(struct.pack("<IIIII", 1, w, h, model.n_training, model.p))
         fh.write(model.mean.astype("<f8").tobytes(order="C"))
         for k in range(model.p):
             fh.write(model.modes[k].astype("<f8").tobytes(order="C"))
         fh.write(model.variances.astype("<f8").tobytes())
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-        fh.write(struct.pack("<ddd", 1.0 if model.center_on_domain else 0.0, cx, cy))
+        fh.write(struct.pack("<ddd", 1.0, cx, cy))
 
 
 def read_smdl(path) -> ShapeModel:
@@ -216,7 +202,7 @@ def read_smdl(path) -> ShapeModel:
         raise ValueError(f"bad SMDL magic: {data[:4]!r}")
     if len(data) < 24:
         raise ValueError("truncated SMDL header")
-    version, w, h, _n, p = struct.unpack_from("<IIIII", data, 4)
+    version, w, h, n, p = struct.unpack_from("<IIIII", data, 4)
     if version != 1:
         raise ValueError(f"unsupported SMDL version {version}")
     if p < 1:
@@ -226,7 +212,8 @@ def read_smdl(path) -> ShapeModel:
     if len(data) < 24 + 8 * count:
         raise ValueError("truncated SMDL data")
     vals = np.frombuffer(data, dtype="<f8", count=count, offset=24).astype(np.float64)
+    if vals[-3] == 0.0:
+        raise ValueError("origin-centred SMDL models are not supported")
     return ShapeModel(mean=vals[:m].reshape(h, w),
                       modes=vals[m:m * (1 + p)].reshape(p, h, w),
-                      variances=vals[m * (1 + p):-3],
-                      center_on_domain=bool(vals[-3] != 0.0))
+                      variances=vals[m * (1 + p):-3], n_training=n)

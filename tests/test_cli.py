@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,15 @@ def write_config(tmp_path, w=None, cfg=None):
     p.write_text(descent.config_to_kv(w or EnergyWeights(),
                                       cfg or DescentConfig()))
     return p
+
+
+def pack_smdl_v1(model, n_training, flag):
+    """A version-1 SMDL file laid out field by field, with the given trailer flag."""
+    h, w = model.mean.shape
+    return b"".join([b"SMDL", struct.pack("<IIIII", 1, w, h, n_training, model.p),
+                     model.mean.astype("<f8").tobytes(), model.modes.astype("<f8").tobytes(),
+                     model.variances.astype("<f8").tobytes(),
+                     struct.pack("<ddd", flag, (w - 1) / 2.0, (h - 1) / 2.0)])
 
 
 class TestSynthCommand:
@@ -55,7 +65,33 @@ class TestBuildModelCommand:
                         "--modes", "2", "--out", str(out)]) == 0
         assert "variance share" in capsys.readouterr().out
         model = shape_prior.read_smdl(out)
-        assert model.p == 2 and model.mean.shape == (64, 64)
+        assert model.p == 2 and model.mean.shape == (64, 64) and model.n_training == 5
+        again = tmp_path / "again.smdl"
+        shape_prior.write_smdl(model, again)
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_model_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the same masks must give the same file whatever thread count BLAS
+        # runs with; a threaded dot product sums in a thread-dependent order
+        paths = []
+        for r in range(14, 27, 2):
+            p = tmp_path / f"m{r}.pgm"
+            io.write_pgm(np.where(synth.render(synth.SceneSpec(
+                width=128, height=128, shape=("disk", 63.5, 63.5, float(r))))[1], 255.0, 0.0), p)
+            paths.append(str(p))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        files = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model{threads}.smdl"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+            proc = subprocess.run(
+                [sys.executable, "-c", "from shapeseg.cli import main; main()",
+                 "build-model", "--masks", *paths, "--modes", "2", "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
 
 
 class TestEnergyCommand:
@@ -203,13 +239,36 @@ class TestSegmentCommand:
         masks = synth.ellipse_training_set(4, (9, 15), (9, 15), 64, 64)
         sdfs = [shape_prior.sdf_from_mask(m) for m in masks]
         model_p = tmp_path / "m.smdl"
-        shape_prior.write_smdl(shape_prior.build_shape_model(sdfs, p=2),
-                               model_p, n_training=4)
+        shape_prior.write_smdl(shape_prior.build_shape_model(sdfs, p=2), model_p)
         cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=5))
         out = tmp_path / "run"
         assert run_cli(["segment", "--image", str(img_p), "--model", str(model_p),
                         "--config", str(cfg_p), "--out-dir", str(out)]) == 0
         assert (out / "phi.sfld").exists()
+
+    def test_version_1_file_segments_like_its_model(self, tmp_path):
+        # a file laid out as every earlier writer laid it out (trailer flag 1.0)
+        # loads as the model it stores and segments bit-identically to it
+        scene, _ = write_scene(tmp_path)
+        img_p = tmp_path / "img.pgm"
+        run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
+                 "--out-truth", str(tmp_path / "t.pgm")])
+        masks = synth.ellipse_training_set(4, (9, 15), (9, 15), 64, 64)
+        model = shape_prior.build_shape_model(
+            [shape_prior.sdf_from_mask(m) for m in masks], p=2)
+        model_p = tmp_path / "m.smdl"
+        model_p.write_bytes(pack_smdl_v1(model, 4, 1.0))
+        written = tmp_path / "written.smdl"
+        shape_prior.write_smdl(model, written)
+        assert written.read_bytes() == model_p.read_bytes()
+        cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=5))
+        out = tmp_path / "run"
+        assert run_cli(["segment", "--image", str(img_p), "--model", str(model_p),
+                        "--config", str(cfg_p), "--out-dir", str(out)]) == 0
+        w, cfg = descent.config_from_kv(cfg_p.read_text())
+        state = descent.segment(io.read_pgm(img_p), model, w, cfg)
+        field.write_sfld(state.phi, tmp_path / "want.sfld")
+        assert (out / "phi.sfld").read_bytes() == (tmp_path / "want.sfld").read_bytes()
 
 
 class TestExitCodes:
@@ -395,6 +454,27 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [
             "error: model grid 48x40 does not match image grid 64x64"]
+        assert captured.out == ""
+        assert not (out / "phi.sfld").exists()
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_origin_centred_model_is_one_data_error(self, tmp_path, capsys, command):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        masks = [synth.render(synth.SceneSpec(width=64, height=64,
+                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+                 for r in (9, 11, 13)]
+        model_p = tmp_path / "m.smdl"
+        model_p.write_bytes(pack_smdl_v1(shape_prior.build_shape_model(
+            [shape_prior.sdf_from_mask(m) for m in masks], p=2), 3, 0.0))
+        out = tmp_path / "run"
+        argv = {"segment": ["--out-dir", str(out)], "energy": ["--phi", str(phi_p)]}[command]
+        capsys.readouterr()
+        code = run_cli([command, "--image", str(img_p), "--model", str(model_p),
+                        "--config", str(cfg_p), *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: origin-centred SMDL models are not supported"]
         assert captured.out == ""
         assert not (out / "phi.sfld").exists()
 

@@ -130,10 +130,7 @@ class TestGradParams:
         x0 = np.concatenate([st.lam, st.pose.as_vector()])
 
         def energy_at(x):
-            from dataclasses import replace
-            trial = replace(st, lam=x[:disk_model.p],
-                            pose=st.pose.replaced(x[disk_model.p:]))
-            return descent.evaluate(trial, img, g, disk_model, w).total
+            return descent.evaluate(descent._with_params(st, x), img, g, disk_model, w).total
 
         dd = (energy_at(x0 + t * u) - energy_at(x0 - t * u)) / (2 * t)
         assert abs(dd - u @ gp) < 1e-2 * max(abs(dd), 1.0)

@@ -1,4 +1,4 @@
-import copy
+import struct
 
 import numpy as np
 import pytest
@@ -171,7 +171,7 @@ class TestPose:
         v = Pose().as_vector()
         v[["tau", "theta", "tx", "ty"].index(name)] = bad
         with pytest.raises(ValueError, match="finite"):
-            Pose().replaced(v)
+            Pose(*v)
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(0.1, 5.0), st.floats(-np.pi, np.pi),
@@ -180,7 +180,7 @@ class TestPose:
         # the descent clips theta to [-pi, pi] and tau into its box before
         # building a Pose, which clamps once; a second clamp changes no bit
         pose = Pose(tau, theta, tx, ty)
-        again = copy.copy(pose).clamp()
+        again = Pose(*pose.as_vector())
         assert again.as_vector().tobytes() == pose.as_vector().tobytes()
 
 
@@ -217,14 +217,11 @@ class TestWarp:
         assert abs(out[8, 10] - (8.0 + 2 * 2.0)) < 1e-12
 
     @staticmethod
-    def _mgrid_warp(f, pose, outside, center_on_domain):
+    def _mgrid_warp(f, pose, outside):
         # the warp written out on full coordinate grids
         h, w = f.shape
         ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
-        if center_on_domain:
-            cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-        else:
-            cx = cy = 0.0
+        cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
         ct, st = np.cos(pose.theta), np.sin(pose.theta)
         dx = xs - cx
         dy = ys - cy
@@ -239,31 +236,30 @@ class TestWarp:
            | st.floats(shape_prior.TAU_MIN, shape_prior.TAU_MAX),
            theta=st.floats(-np.pi, np.pi),
            tx=st.floats(-30, 30), ty=st.floats(-30, 30),
-           center=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_mgrid_formula(self, shape, tau, theta, tx, ty, center, seed):
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_mgrid_formula(self, shape, tau, theta, tx, ty, seed):
         f = np.random.default_rng(seed).normal(size=shape)
         pose = Pose(tau, theta, tx, ty)
-        out = shape_prior.warp(f, pose, 7.5, center_on_domain=center)
-        want = self._mgrid_warp(f, pose, 7.5, center)
+        out = shape_prior.warp(f, pose, 7.5)
+        want = self._mgrid_warp(f, pose, 7.5)
         assert out.shape == want.shape == shape
         assert out.tobytes() == want.tobytes()
 
 
     def test_repeated_and_alternating_poses_match_fresh_warps(self, rng):
-        # warp keeps the sampling geometry of its last (grid shape, pose, centre
-        # flag); a sequence that repeats and alternates them, with the same pose
-        # on two grid shapes of one size and under both centre flags, must
-        # still equal the warp written out afresh every time
+        # warp keeps the sampling geometry of its last (grid shape, pose); a
+        # sequence that repeats and alternates them, with the same pose on two
+        # grid shapes of one size, must still equal the warp written out
+        # afresh every time
         f, g = rng.normal(size=(2, 20, 24))
         t = rng.normal(size=(24, 20))
         a, b = Pose(1.1, 0.3, 1.5, -2.0), Pose(0.9, -0.2, -1.0, 0.5)
-        calls = [(f, a, True), (f, a, True), (g, a, True), (f, b, True), (g, a, True),
-                 (t, a, True), (t, a, True), (f, a, True), (f, a, False), (g, a, False),
-                 (f, a, True), (t, a, False), (t, b, False), (f, b, False), (f, b, True)]
+        calls = [(f, a), (f, a), (g, a), (f, b), (g, a), (t, a), (t, a), (f, a),
+                 (t, b), (f, b), (g, b), (t, b), (t, a), (f, a), (g, b)]
         shape_prior._warp_geometry.cache_clear()
-        for fld, pose, center in calls:
-            out = shape_prior.warp(fld, pose, 7.5, center_on_domain=center)
-            want = self._mgrid_warp(fld, pose, 7.5, center)
+        for fld, pose in calls:
+            out = shape_prior.warp(fld, pose, 7.5)
+            want = self._mgrid_warp(fld, pose, 7.5)
             assert out.shape == want.shape == fld.shape
             assert out.tobytes() == want.tobytes()
         repeats = sum(p[0].shape == q[0].shape and p[1:] == q[1:]
@@ -274,7 +270,7 @@ class TestWarp:
         f = rng.normal(size=(12, 10))
         pose = Pose(1.2, 0.4, 0.5, -0.5)
         first = shape_prior.warp(f, pose, 0.0)
-        geometry = shape_prior._warp_geometry(f.shape, pose.as_vector().tobytes(), True)
+        geometry = shape_prior._warp_geometry(f.shape, pose.as_vector().tobytes())
         arrays = [a for a in geometry if isinstance(a, np.ndarray)]
         assert len(arrays) == 4
         for a in arrays:
@@ -287,15 +283,15 @@ class TestSmdlFormat:
     def test_roundtrip(self, tmp_path):
         model = shape_prior.build_shape_model(ellipse_sdfs(n=5, size=96), p=3)
         p1 = tmp_path / "m1.smdl"
-        shape_prior.write_smdl(model, p1, n_training=5)
+        shape_prior.write_smdl(model, p1)
         back = shape_prior.read_smdl(p1)
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.modes, model.modes)
         assert np.array_equal(back.variances, model.variances)
         assert np.array_equal(back.lambda_box, model.lambda_box)
-        assert back.center_on_domain == model.center_on_domain
+        assert back.n_training == model.n_training == 5
         p2 = tmp_path / "m2.smdl"
-        shape_prior.write_smdl(back, p2, n_training=5)
+        shape_prior.write_smdl(back, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     @settings(max_examples=100, deadline=None)
@@ -304,25 +300,52 @@ class TestSmdlFormat:
             arrays(np.float64, d[1:], elements=st.floats(-1e6, 1e6)),
             arrays(np.float64, d, elements=st.floats(-1.0, 1.0)),
             arrays(np.float64, d[0], elements=st.floats(0.0, 1e6)),
-            st.booleans())))
+            st.integers(0, 2 ** 32 - 1))))
     def test_roundtrip_property(self, tmp_path_factory, parts):
-        mean, modes, variances, centred = parts
+        mean, modes, variances, n_training = parts
         model = shape_prior.ShapeModel(mean=mean, modes=modes, variances=variances,
-                                       center_on_domain=centred)
-        p = tmp_path_factory.mktemp("smdl") / "m.smdl"
-        shape_prior.write_smdl(model, p)
-        back = shape_prior.read_smdl(p)
+                                       n_training=n_training)
+        d = tmp_path_factory.mktemp("smdl")
+        shape_prior.write_smdl(model, d / "m.smdl")
+        back = shape_prior.read_smdl(d / "m.smdl")
         assert back.mean.tobytes() == mean.tobytes()
         assert back.modes.tobytes() == modes.tobytes() and back.modes.shape == modes.shape
         assert back.variances.tobytes() == variances.tobytes()
         assert back.lambda_box.tobytes() == model.lambda_box.tobytes()
-        assert back.center_on_domain == centred
+        assert back.n_training == n_training
+        shape_prior.write_smdl(back, d / "again.smdl")
+        assert (d / "again.smdl").read_bytes() == (d / "m.smdl").read_bytes()
+
+    @pytest.mark.parametrize("flag", [0.0, -0.0])
+    def test_origin_centred_flag_rejected(self, tmp_path, flag):
+        # the trailer is (flag, cx, cy); flag 0 marked the origin-centred map
+        model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
+        p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(model, p)
+        data = bytearray(p.read_bytes())
+        assert struct.unpack("<d", data[-24:-16]) == (1.0,)
+        data[-24:-16] = struct.pack("<d", flag)
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="^origin-centred SMDL models are not supported$"):
+            shape_prior.read_smdl(p)
+
+    def test_any_non_zero_flag_reads_as_centred(self, tmp_path):
+        model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
+        p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(model, p)
+        data = bytearray(p.read_bytes())
+        data[-24:-16] = struct.pack("<d", -0.5)
+        p.write_bytes(bytes(data))
+        back = shape_prior.read_smdl(p)
+        assert back.modes.tobytes() == model.modes.tobytes()
+        shape_prior.write_smdl(back, p)
+        assert struct.unpack("<d", p.read_bytes()[-24:-16]) == (1.0,)
 
     def test_truncated(self, tmp_path):
         # 96x96 grids, p=2: header ends at 24, trailer starts at 24 + 3 grids + 16
         model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
         p = tmp_path / "m.smdl"
-        shape_prior.write_smdl(model, p, n_training=3)
+        shape_prior.write_smdl(model, p)
         data = p.read_bytes()
         grid = 8 * 96 * 96
         for cut in (6, 23, 24 + grid // 2, 24 + 2 * grid + 8,
