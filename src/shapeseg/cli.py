@@ -8,7 +8,6 @@ only to files.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -98,9 +97,9 @@ def _cmd_segment(args) -> int:
     cs = contours.extract_contours(state.phi)
     (out / "contours.csv").write_text(io.contours_to_csv(cs))
     io.write_pgm(io.overlay(image, cs), out / "overlay.pgm")
-    (out / "trace.csv").write_text(io.trace_to_csv(state.trace, cfg.record_every))
+    (out / "trace.csv").write_text(io.trace_to_csv(state.trace))
     (out / "config.txt").write_text(descent.config_to_kv(w, cfg))
-    total = float("nan") if state.energy is None else state.energy
+    total = state.trace[-1].total if state.trace else float("nan")
     print(f"segment: {state.iter} iterations, {len(cs)} contours, "
           f"final energy {total:.6g}")
     return 0
@@ -111,7 +110,7 @@ def _cmd_energy(args) -> int:
     phi = field.read_sfld(args.phi)
     if phi.shape != image.shape:
         raise ValueError(f"phi shape {phi.shape} does not match image {image.shape}")
-    w, cfg = _load_config(args.config)
+    w, _ = _load_config(args.config)
     g = energy.edge_indicator(image, w.eta, w.sigma)
     model = shape_prior.read_smdl(args.model) if args.model else None
     descent.check_model_grid(model, image)
@@ -122,7 +121,7 @@ def _cmd_energy(args) -> int:
         state = descent.refresh_approximants(descent.SegmentationState(
             phi=phi, lam=np.asarray(args.lam if args.lam else np.zeros(model.p)),
             pose=shape_prior.Pose(*args.pose) if args.pose else shape_prior.Pose(),
-            i_in=mean, i_out=mean), image, model, w, replace(cfg, inner_ms_iters=100))
+            i_in=mean, i_out=mean), image, model, w, sweeps=100)
     bd = descent.evaluate(state, image, g, model, w)
     print(f"f1={bd.f1:.17g} f2={bd.f2:.17g} f3={bd.f3:.17g} "
           f"f4={bd.f4:.17g} total={bd.total:.17g}")

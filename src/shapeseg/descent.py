@@ -28,25 +28,24 @@ class NumericalAbort(RuntimeError):
     """Raised when an energy term or gradient turns non-finite."""
 
 
+# the parameter step sizes and finite-difference width of ``step``
+STEP_LAMBDA = 0.5
+STEP_POSE = 2e-3
+FD_H = 1e-3
+# Gauss-Seidel sweeps per approximant refresh in ``step``
+SWEEPS = 20
+
+
 @dataclass
 class DescentConfig:
     dt_phi: float = 0.2
-    step_lambda: float = 0.5
-    step_pose: float = 2e-3
-    fd_h: float = 1e-3
     max_iters: int = 2000
     tol: float = 1e-6
-    inner_ms_iters: int = 20
-    record_every: int = 1
 
     def __post_init__(self):
         # chained comparisons are False for NaN, so NaN fails every check
-        for name in ("dt_phi", "step_lambda", "step_pose", "fd_h"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        for name in ("inner_ms_iters", "record_every"):
-            if not 1 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be finite and >= 1")
+        if not 0 < self.dt_phi < np.inf:
+            raise ValueError("dt_phi must be positive and finite")
         if not 0 <= self.max_iters < np.inf:
             raise ValueError("max_iters must be finite and >= 0")
         if not 0 < self.tol < 1:
@@ -62,7 +61,6 @@ class SegmentationState:
     i_out: Optional[np.ndarray] = None
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
-    energy: Optional[float] = None   # accepted total energy, set by step
     # fields reused within one segment run: {kind: (inputs, fields)}; see _fields
     _memo: Optional[dict] = dc_field(default=None, repr=False, compare=False)
 
@@ -264,11 +262,11 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 
 
 def refresh_approximants(state: SegmentationState, image, model,
-                         w: EnergyWeights, cfg: DescentConfig) -> SegmentationState:
+                         w: EnergyWeights, sweeps: int) -> SegmentationState:
     """Gauss-Seidel refresh of I_in and I_out for the current prior region."""
     wgt = energy.heaviside_eps(-prior_field(model, state.lam, state.pose), w.eps)
-    i_in = solve_smooth_approximant(image, wgt, w.mu, cfg.inner_ms_iters, state.i_in)
-    i_out = solve_smooth_approximant(image, 1.0 - wgt, w.mu, cfg.inner_ms_iters, state.i_out)
+    i_in = solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in)
+    i_out = solve_smooth_approximant(image, 1.0 - wgt, w.mu, sweeps, state.i_out)
     return replace(state, i_in=i_in, i_out=i_out)
 
 
@@ -283,7 +281,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     carried = state._memo is not None
     memo = state._memo if carried else {}
     if model is not None:
-        state = refresh_approximants(state, image, model, w, cfg)
+        state = refresh_approximants(state, image, model, w, SWEEPS)
     # the trial states below are replace()d from this one and share its memo
     state = replace(state, _memo=memo)
     e_base = evaluate(state, image, g, model, w).total
@@ -298,24 +296,22 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
         return state, e_base
 
     if model is not None:
-        gp = grad_params(state, image, g, model, w, cfg.fd_h)
+        gp = grad_params(state, image, g, model, w, FD_H)
         lo, hi = _param_boxes(model)
         x0 = _params(state)
-        steps = np.concatenate([np.full(model.p, cfg.step_lambda),
-                                np.full(4, cfg.step_pose)])
+        steps = np.concatenate([np.full(model.p, STEP_LAMBDA), np.full(4, STEP_POSE)])
         state, e_base = gate(state, e_base, lambda s: _with_params(
             state, np.clip(x0 - s * steps * gp, lo, hi)))
 
     gphi = grad_phi_total(state, image, g, model, w)
     gmax = float(np.max(np.abs(gphi)))
     dt = min(cfg.dt_phi, 0.5 / gmax) if gmax > 0 else cfg.dt_phi
-    state, e_base = gate(state, e_base,
-                         lambda s: replace(state, phi=state.phi - s * dt * gphi))
+    state, _ = gate(state, e_base, lambda s: replace(state, phi=state.phi - s * dt * gphi))
 
-    state = replace(state, iter=state.iter + 1, energy=e_base)
-    if state.iter % cfg.record_every == 0:
-        state.trace.append(evaluate(state, image, g, model, w))
-    return state if carried else replace(state, _memo=None)
+    bd = evaluate(state, image, g, model, w)
+    # a new list, so the caller's state keeps its own trace
+    return replace(state, iter=state.iter + 1, trace=[*state.trace, bd],
+                   _memo=memo if carried else None)
 
 
 def default_init_phi(shape) -> np.ndarray:
@@ -365,7 +361,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     flat = 0
     for _ in range(cfg.max_iters):
         state = step(state, image, g, model, w, cfg)
-        cur = state.energy
+        cur = state.trace[-1].total
         if abs(prev - cur) < cfg.tol * max(abs(prev), 1.0):
             flat += 1
             if flat >= 20:

@@ -113,10 +113,9 @@ def contours_from_csv(text: str) -> List[List[tuple]]:
     return [out[k] for k in sorted(out)]
 
 
-def trace_to_csv(trace: List[EnergyBreakdown], record_every: int = 1) -> str:
+def trace_to_csv(trace: List[EnergyBreakdown]) -> str:
     lines = ["iter,f1,f2,f3,f4,total"]
-    for i, bd in enumerate(trace):
-        it = (i + 1) * record_every
+    for it, bd in enumerate(trace, 1):
         lines.append(",".join([str(it)] + [_fmt(v) for v in
                                            (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)]))
     return "\n".join(lines) + "\n"

@@ -214,6 +214,10 @@ def read_smdl(path) -> ShapeModel:
     vals = np.frombuffer(data, dtype="<f8", count=count, offset=24).astype(np.float64)
     if vals[-3] == 0.0:
         raise ValueError("origin-centred SMDL models are not supported")
+    # the warp always centres on the grid, so any other stored centre would be ignored
+    centre, stored = ((w - 1) / 2.0, (h - 1) / 2.0), (float(vals[-2]), float(vals[-1]))
+    if stored != centre:
+        raise ValueError(f"SMDL centre {stored} is not the grid centre {centre}")
     return ShapeModel(mean=vals[:m].reshape(h, w),
                       modes=vals[m:m * (1 + p)].reshape(p, h, w),
                       variances=vals[m * (1 + p):-3], n_training=n)

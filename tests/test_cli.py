@@ -28,13 +28,16 @@ def write_config(tmp_path, w=None, cfg=None):
     return p
 
 
-def pack_smdl_v1(model, n_training, flag):
-    """A version-1 SMDL file laid out field by field, with the given trailer flag."""
+def pack_smdl_v1(model, n_training, flag, centre=None):
+    """A version-1 SMDL file laid out field by field, with the given trailer.
+
+    The centre defaults to the grid's centre, as every writer stored it.
+    """
     h, w = model.mean.shape
     return b"".join([b"SMDL", struct.pack("<IIIII", 1, w, h, n_training, model.p),
                      model.mean.astype("<f8").tobytes(), model.modes.astype("<f8").tobytes(),
                      model.variances.astype("<f8").tobytes(),
-                     struct.pack("<ddd", flag, (w - 1) / 2.0, (h - 1) / 2.0)])
+                     struct.pack("<ddd", flag, *(centre or ((w - 1) / 2.0, (h - 1) / 2.0)))])
 
 
 class TestSynthCommand:
@@ -216,12 +219,12 @@ class TestSegmentCommand:
         assert w2 == EnergyWeights() and c2 == DescentConfig(max_iters=10)
 
     def test_final_energy_is_the_last_iterate(self, tmp_path, capsys):
-        # 12 iterations recorded every 5: the last trace row is iteration 10
+        # the printed energy is that of the written phi, re-evaluated from the file
         scene, _ = write_scene(tmp_path)
         img_p = tmp_path / "img.pgm"
         run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
                  "--out-truth", str(tmp_path / "t.pgm")])
-        cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=12, record_every=5))
+        cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=12))
         out = tmp_path / "run"
         assert run_cli(["segment", "--image", str(img_p), "--config", str(cfg_p),
                         "--out-dir", str(out)]) == 0
@@ -457,15 +460,29 @@ class TestExitCodes:
         assert captured.out == ""
         assert not (out / "phi.sfld").exists()
 
-    @pytest.mark.parametrize("command", ["segment", "energy"])
-    def test_origin_centred_model_is_one_data_error(self, tmp_path, capsys, command):
+    def test_retired_config_key_through_the_entry_point(self, tmp_path):
+        # a config file written before the schedule shrank to three keys
+        img_p, _, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + "step_lambda=0.5\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-c", "from shapeseg.cli import main; main()", "segment",
+             "--image", str(img_p), "--config", str(cfg_p), "--out-dir", str(tmp_path / "run")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: unknown config key 'step_lambda'\n"
+        assert proc.stdout == ""
+
+    def _bad_model_error(self, tmp_path, capsys, command, flag, centre=None):
+        """The stderr lines of ``command`` on a model file with the given trailer."""
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
         masks = [synth.render(synth.SceneSpec(width=64, height=64,
                                               shape=("disk", 31.5, 31.5, float(r))))[1]
                  for r in (9, 11, 13)]
         model_p = tmp_path / "m.smdl"
         model_p.write_bytes(pack_smdl_v1(shape_prior.build_shape_model(
-            [shape_prior.sdf_from_mask(m) for m in masks], p=2), 3, 0.0))
+            [shape_prior.sdf_from_mask(m) for m in masks], p=2), 3, flag, centre))
         out = tmp_path / "run"
         argv = {"segment": ["--out-dir", str(out)], "energy": ["--phi", str(phi_p)]}[command]
         capsys.readouterr()
@@ -473,10 +490,19 @@ class TestExitCodes:
                         "--config", str(cfg_p), *argv])
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [
-            "error: origin-centred SMDL models are not supported"]
         assert captured.out == ""
         assert not (out / "phi.sfld").exists()
+        return captured.err.splitlines()
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_origin_centred_model_is_one_data_error(self, tmp_path, capsys, command):
+        assert self._bad_model_error(tmp_path, capsys, command, 0.0) == [
+            "error: origin-centred SMDL models are not supported"]
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_off_centre_model_is_one_data_error(self, tmp_path, capsys, command):
+        assert self._bad_model_error(tmp_path, capsys, command, 1.0, (5.0, -7.0)) == [
+            "error: SMDL centre (5.0, -7.0) is not the grid centre (31.5, 31.5)"]
 
     def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)

@@ -350,13 +350,17 @@ class TestStepAndSegment:
                 assert cur <= prev + cfg.tol * abs(prev)
             prev = cur
 
-    def test_record_every_does_not_change_the_stop(self):
-        img = self._disk_scene(size=64, r=12)
-        every = descent.segment(img, None, W, DescentConfig(max_iters=300))
-        sparse = descent.segment(img, None, W, DescentConfig(max_iters=300, record_every=25))
-        assert sparse.iter == every.iter
-        assert np.array_equal(sparse.phi, every.phi)
-        assert sparse.trace == every.trace[24::25]
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_step_leaves_its_input_trace_alone(self, disk_model, with_model):
+        img = self._disk_scene(size=48, r=12, seed=3)
+        model = disk_model if with_model else None
+        w = EnergyWeights(gamma=0.05)
+        g = energy.edge_indicator(img, w.eta, w.sigma)
+        s0 = descent.init_state(img, model, w)
+        s1 = descent.step(s0, img, g, model, w, DescentConfig())
+        s2 = descent.step(s1, img, g, model, w, DescentConfig())
+        assert s0.trace == [] and len(s1.trace) == 1 and len(s2.trace) == 2
+        assert s2.trace[0] is s1.trace[0]
 
     def test_max_iters_zero_returns_init(self):
         img = self._disk_scene(size=32, r=8)
@@ -389,11 +393,12 @@ class TestBacktrackingGate:
     """Each update group takes the full step, else the half step, else reverts.
 
     ``evaluate`` returns scripted totals, so the gate alone decides the result.
+    The last total is the trace record's, taken on the state the gates accepted.
     """
 
     GPHI = 0.25      # gmax 0.25: the CFL cap 0.5/gmax = 2 leaves dt = dt_phi
     GP = np.array([0.2, -0.1, 3.0, -2.0, 1.5, 0.5])
-    CFG = DescentConfig(record_every=10 ** 6)     # no trace record: no extra evaluate
+    CFG = DescentConfig()
 
     def _step(self, monkeypatch, state, model, totals):
         seen = []
@@ -411,6 +416,11 @@ class TestBacktrackingGate:
         image = np.zeros_like(state.phi)
         out = descent.step(state, image, np.ones_like(image), model, W, self.CFG)
         assert len(seen) == len(totals) and next(script, None) is None
+        # the trace records the accepted state, and that is the state step returns
+        last = seen[-1]
+        assert last.phi is out.phi and last.lam is out.lam and last.pose is out.pose
+        assert out.iter == 1 and [bd.total for bd in out.trace] == [totals[-1]]
+        assert state.trace == []
         return out
 
     def _phi_after(self, phi0, scale):
@@ -423,9 +433,8 @@ class TestBacktrackingGate:
         totals, scale, e_new = phi_case
         phi0 = smooth_phi(16, 16)
         out = self._step(monkeypatch, SegmentationState(phi=phi0.copy()), None,
-                         [100.0] + totals)
+                         [100.0] + totals + [e_new])
         assert np.array_equal(out.phi, self._phi_after(phi0, scale))
-        assert out.energy == e_new and out.iter == 1 and out.trace == []
 
     @pytest.mark.parametrize("param_case", [FULL, HALF, REVERT])
     @pytest.mark.parametrize("phi_case", [FULL, HALF, REVERT])
@@ -438,16 +447,16 @@ class TestBacktrackingGate:
         lam0 = np.array([0.3, -0.2])
         state = SegmentationState(phi=phi0.copy(), lam=lam0.copy(), pose=Pose(),
                                   i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)))
-        out = self._step(monkeypatch, state, disk_model, [100.0] + p_totals + phi_totals)
+        out = self._step(monkeypatch, state, disk_model,
+                         [100.0] + p_totals + phi_totals + [phi_energy])
         x0 = np.concatenate([lam0, Pose().as_vector()])
         x = x0
         if p_scale is not None:
-            steps = np.array([self.CFG.step_lambda] * 2 + [self.CFG.step_pose] * 4)
+            steps = np.array([descent.STEP_LAMBDA] * 2 + [descent.STEP_POSE] * 4)
             x = x0 - p_scale * steps * self.GP
         assert np.array_equal(out.lam, x[:2])
         assert out.pose == Pose(*map(float, x[2:]))
         assert np.array_equal(out.phi, self._phi_after(phi0, phi_scale))
-        assert out.energy == phi_energy
 
 
 def _memo_free(state):
@@ -457,7 +466,7 @@ def _memo_free(state):
     return SegmentationState(phi=state.phi.copy(), lam=cp(state.lam),
                              pose=copy.copy(state.pose), i_in=cp(state.i_in),
                              i_out=cp(state.i_out), iter=state.iter,
-                             trace=list(state.trace), energy=state.energy)
+                             trace=state.trace)
 
 
 def _bits(bd):
@@ -539,7 +548,6 @@ class TestFieldsComputedOncePerStep:
         a = descent.step(s1, img, g, model, self.W, cfg)
         b = descent.step(fresh, img, g, model, self.W, cfg)
         assert a.phi.tobytes() == b.phi.tobytes()
-        assert a.energy.hex() == b.energy.hex()
         assert [_bits(bd) for bd in a.trace] == [_bits(bd) for bd in b.trace]
         if model is not None:
             assert a.lam.tobytes() == b.lam.tobytes() and a.pose == b.pose
@@ -592,7 +600,7 @@ class TestKernelsLeaveInputsUntouched:
         if model is not None:
             calls += [lambda: descent.grad_params(state, img, g, model, self.W, 1e-3),
                       lambda: descent.refresh_approximants(state, img, model, self.W,
-                                                           DescentConfig())]
+                                                           descent.SWEEPS)]
         for call in calls:
             call()
             assert self._inputs(img, g, model, state) == before
@@ -621,13 +629,14 @@ def _segment_memo_free(image, model, w, cfg):
     for _ in range(cfg.max_iters):
         state = descent.step(state, image, g, model, w, cfg)
         assert state._memo is None
-        if abs(prev - state.energy) < cfg.tol * max(abs(prev), 1.0):
+        cur = state.trace[-1].total
+        if abs(prev - cur) < cfg.tol * max(abs(prev), 1.0):
             flat += 1
             if flat >= 20:
                 break
         else:
             flat = 0
-        prev = state.energy
+        prev = cur
     return state
 
 
@@ -641,10 +650,8 @@ class TestMemoCarriedAcrossSteps:
     @pytest.mark.parametrize("with_model", [False, True])
     @pytest.mark.parametrize("cfg,stagnates", [
         (DescentConfig(max_iters=30), False),
-        (DescentConfig(max_iters=30, record_every=7), False),
         (DescentConfig(max_iters=400, tol=1e-4), True),
-        (DescentConfig(max_iters=400, tol=1e-4, record_every=7), True),
-    ], ids=["every1", "every7", "stagnation", "stagnation-every7"])
+    ], ids=["every1", "stagnation"])
     def test_segment_equals_memo_free_steps(self, disk_model, with_model, cfg, stagnates):
         model = disk_model if with_model else None
         got = descent.segment(self.IMAGE, model, self.W, cfg)
@@ -652,8 +659,7 @@ class TestMemoCarriedAcrossSteps:
         assert (got.iter < cfg.max_iters) == stagnates
         assert got.iter == want.iter
         assert got.phi.tobytes() == want.phi.tobytes()
-        assert got.energy.hex() == want.energy.hex()
-        assert len(got.trace) == got.iter // cfg.record_every
+        assert len(got.trace) == got.iter
         assert [_bits(bd) for bd in got.trace] == [_bits(bd) for bd in want.trace]
         if model is not None:
             assert got.lam.tobytes() == want.lam.tobytes() and got.pose == want.pose
@@ -760,9 +766,7 @@ class TestConfigKv:
                              ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps")},
                           **{k: data.draw(st.floats(0.0, 1e300)) for k in ("mu", "zeta")})
         cfg = DescentConfig(
-            **{k: data.draw(pos) for k in ("dt_phi", "step_lambda", "step_pose", "fd_h")},
-            **{k: data.draw(st.integers(1, 10 ** 9)) for k in ("inner_ms_iters", "record_every")},
-            max_iters=data.draw(st.integers(0, 10 ** 9)),
+            dt_phi=data.draw(pos), max_iters=data.draw(st.integers(0, 10 ** 9)),
             tol=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
         w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
         assert w2 == w and c2 == cfg
@@ -776,6 +780,17 @@ class TestConfigKv:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown"):
             descent.config_from_kv("bogus=1\n")
+
+    @pytest.mark.parametrize("key", ["step_lambda", "step_pose", "fd_h",
+                                     "inner_ms_iters", "record_every"])
+    def test_retired_keys_are_unknown(self, key):
+        with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+            descent.config_from_kv(f"{key}=0.5\n")
+
+    def test_every_key_written(self):
+        lines = descent.config_to_kv(EnergyWeights(), DescentConfig()).splitlines()
+        assert len(lines) == 13
+        assert [ln.split("=")[0] for ln in lines[-3:]] == ["dt_phi", "max_iters", "tol"]
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):

@@ -123,14 +123,13 @@ class TestContourCsv:
 
 
 class TestTraceCsv:
-    def test_format_and_record_every(self):
+    def test_format_numbers_rows_from_one(self):
         trace = [EnergyBreakdown(f1=1.0, f2=2.0, f3=3.0, f4=4.0, total=10.0),
                  EnergyBreakdown(f1=0.5, f2=1.5, f3=2.5, f4=3.5, total=8.0)]
-        lines = io.trace_to_csv(trace, record_every=5).splitlines()
-        assert lines[0] == "iter,f1,f2,f3,f4,total"
-        assert lines[1].split(",")[0] == "5"
-        assert lines[2].split(",")[0] == "10"
-        assert float(lines[2].split(",")[-1]) == 8.0
+        assert io.trace_to_csv(trace) == ("iter,f1,f2,f3,f4,total\n"
+                                          "1,1,2,3,4,10\n"
+                                          "2,0.5,1.5,2.5,3.5,8\n")
+        assert io.trace_to_csv([]) == "iter,f1,f2,f3,f4,total\n"
 
 
 class TestOverlay:

@@ -341,6 +341,20 @@ class TestSmdlFormat:
         shape_prior.write_smdl(back, p)
         assert struct.unpack("<d", p.read_bytes()[-24:-16]) == (1.0,)
 
+    def test_off_centre_trailer_rejected(self, tmp_path):
+        # the trailer is (flag, cx, cy); the warp only ever centres on the grid
+        model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
+        p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(model, p)
+        data = bytearray(p.read_bytes())
+        assert struct.unpack("<dd", data[-16:]) == (47.5, 47.5)
+        for centre in ((5.0, -7.0), (47.5, 47.0), (np.nan, 47.5)):
+            data[-16:] = struct.pack("<dd", *centre)
+            p.write_bytes(bytes(data))
+            with pytest.raises(ValueError, match=r"^SMDL centre \(.*\) is not the grid "
+                                                 r"centre \(47\.5, 47\.5\)$"):
+                shape_prior.read_smdl(p)
+
     def test_truncated(self, tmp_path):
         # 96x96 grids, p=2: header ends at 24, trailer starts at 24 + 3 grids + 16
         model = shape_prior.build_shape_model(ellipse_sdfs(n=3, size=96), p=2)
