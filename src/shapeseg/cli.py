@@ -106,6 +106,10 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_energy(args) -> int:
+    # Pose would clamp tau silently; NaN passes on to Pose's finiteness check
+    lo, hi = shape_prior.TAU_MIN, shape_prior.TAU_MAX
+    if args.pose and (args.pose[0] < lo or args.pose[0] > hi):
+        raise ValueError(f"--pose tau {args.pose[0]:g} is outside [{lo:g}, {hi:g}]")
     image = io.read_pgm(args.image)
     phi = field.read_sfld(args.phi)
     if phi.shape != image.shape:

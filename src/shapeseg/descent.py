@@ -323,7 +323,7 @@ def default_init_phi(shape) -> np.ndarray:
 
 
 def init_state(image: np.ndarray, model: Optional[ShapeModel],
-               w: EnergyWeights, phi0: Optional[np.ndarray] = None) -> SegmentationState:
+               w: EnergyWeights) -> SegmentationState:
     """Default initialization.
 
     Prior-free: centered circle SDF. With a model: phi starts at the mean
@@ -332,36 +332,37 @@ def init_state(image: np.ndarray, model: Optional[ShapeModel],
     to the prior; I_in/I_out start at the region means under that prior.
     """
     if model is None:
-        phi = field.as_field(phi0) if phi0 is not None else default_init_phi(image.shape)
-        return SegmentationState(phi=phi)
+        return SegmentationState(phi=default_init_phi(image.shape))
     lam = np.zeros(model.p)
     pose = Pose()
     pw = prior_field(model, lam, pose)
-    phi = field.as_field(phi0) if phi0 is not None else pw.copy()
     wgt = energy.heaviside_eps(-pw, w.eps)
     m_in = float(np.sum(wgt * image) / max(np.sum(wgt), 1e-12))
     m_out = float(np.sum((1 - wgt) * image) / max(np.sum(1 - wgt), 1e-12))
-    return SegmentationState(phi=phi, lam=lam, pose=pose,
+    return SegmentationState(phi=pw.copy(), lam=lam, pose=pose,
                              i_in=np.full_like(image, m_in),
                              i_out=np.full_like(image, m_out))
 
 
 def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
-            cfg: DescentConfig, phi0: Optional[np.ndarray] = None) -> SegmentationState:
+            cfg: DescentConfig) -> SegmentationState:
     """Run the descent until max_iters or sustained relative stagnation."""
     image = field.as_field(image)
     check_model_grid(model, image)
     g = energy.edge_indicator(image, w.eta, w.sigma)
-    state = init_state(image, model, w, phi0)
+    state = init_state(image, model, w)
     if cfg.max_iters == 0:
         return state
     # one memo for the whole run: each step starts from the fields the last one left
     state = replace(state, _memo={})
     prev = evaluate(state, image, g, model, w).total
     flat = 0
+    # the run's records; each step gets a state without them, so it copies no history
+    trace = []
     for _ in range(cfg.max_iters):
-        state = step(state, image, g, model, w, cfg)
-        cur = state.trace[-1].total
+        state = step(replace(state, trace=[]), image, g, model, w, cfg)
+        trace += state.trace
+        cur = trace[-1].total
         if abs(prev - cur) < cfg.tol * max(abs(prev), 1.0):
             flat += 1
             if flat >= 20:
@@ -369,7 +370,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
         else:
             flat = 0
         prev = cur
-    return replace(state, _memo=None)
+    return replace(state, trace=trace, _memo=None)
 
 
 def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:

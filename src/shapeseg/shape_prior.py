@@ -218,6 +218,8 @@ def read_smdl(path) -> ShapeModel:
     centre, stored = ((w - 1) / 2.0, (h - 1) / 2.0), (float(vals[-2]), float(vals[-1]))
     if stored != centre:
         raise ValueError(f"SMDL centre {stored} is not the grid centre {centre}")
+    if not (np.all(np.isfinite(vals[:-3])) and np.all(vals[m * (1 + p):-3] >= 0)):
+        raise ValueError("SMDL mean, modes and variances must be finite, with variances >= 0")
     return ShapeModel(mean=vals[:m].reshape(h, w),
                       modes=vals[m:m * (1 + p)].reshape(p, h, w),
                       variances=vals[m * (1 + p):-3], n_training=n)

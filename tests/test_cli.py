@@ -474,15 +474,24 @@ class TestExitCodes:
         assert proc.stderr == "error: unknown config key 'step_lambda'\n"
         assert proc.stdout == ""
 
-    def _bad_model_error(self, tmp_path, capsys, command, flag, centre=None):
-        """The stderr lines of ``command`` on a model file with the given trailer."""
-        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+    @staticmethod
+    def _disk_model():
         masks = [synth.render(synth.SceneSpec(width=64, height=64,
                                               shape=("disk", 31.5, 31.5, float(r))))[1]
                  for r in (9, 11, 13)]
+        return shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
+
+    def _bad_model_error(self, tmp_path, capsys, command, flag, centre=None, edit=None):
+        """The stderr lines of ``command`` on a model file with the given trailer.
+
+        ``edit``, if given, changes the model's arrays in place before it is written.
+        """
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        model = self._disk_model()
+        if edit is not None:
+            edit(model)
         model_p = tmp_path / "m.smdl"
-        model_p.write_bytes(pack_smdl_v1(shape_prior.build_shape_model(
-            [shape_prior.sdf_from_mask(m) for m in masks], p=2), 3, flag, centre))
+        model_p.write_bytes(pack_smdl_v1(model, 3, flag, centre))
         out = tmp_path / "run"
         argv = {"segment": ["--out-dir", str(out)], "energy": ["--phi", str(phi_p)]}[command]
         capsys.readouterr()
@@ -503,6 +512,31 @@ class TestExitCodes:
     def test_off_centre_model_is_one_data_error(self, tmp_path, capsys, command):
         assert self._bad_model_error(tmp_path, capsys, command, 1.0, (5.0, -7.0)) == [
             "error: SMDL centre (5.0, -7.0) is not the grid centre (31.5, 31.5)"]
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    @pytest.mark.parametrize("array,value", [
+        ("mean", np.nan), ("modes", np.inf), ("variances", -5.0), ("variances", np.nan),
+    ])
+    def test_non_finite_or_negative_variance_model_is_one_data_error(
+            self, tmp_path, capsys, command, array, value):
+        def edit(model):
+            getattr(model, array).flat[-1] = value
+
+        assert self._bad_model_error(tmp_path, capsys, command, 1.0, edit=edit) == [
+            "error: SMDL mean, modes and variances must be finite, with variances >= 0"]
+
+    @pytest.mark.parametrize("tau,shown", [("100", "100"), ("0.1", "0.1"), ("inf", "inf")])
+    def test_pose_tau_out_of_range_is_one_data_error(self, tmp_path, capsys, tau, shown):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        model_p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(self._disk_model(), model_p)
+        capsys.readouterr()
+        code = run_cli(["energy", "--image", str(img_p), "--phi", str(phi_p), "--model",
+                        str(model_p), "--config", str(cfg_p), "--pose", tau, "0", "0", "0"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: --pose tau {shown} is outside [0.25, 4]"]
 
     def test_non_finite_sfld_is_data_error(self, tmp_path, capsys):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)

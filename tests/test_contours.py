@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -140,7 +141,23 @@ class TestAgainstAllCellsReference:
         # exact zeros, equal corners and saddle cells are all frequent here
         assert contours.extract_contours(phi) == _all_cells_reference(phi)
 
-    def test_same_contours_disks(self):
-        phi = np.minimum(disk_sdf(40, 52, 14.3, 17.8, 9), disk_sdf(40, 52, 38.0, 24.1, 11.5))
+    @pytest.mark.parametrize("kind", ["disks", "noise128", "noise128-integer"])
+    def test_same_contours_large_fields(self, kind):
+        if kind == "disks":
+            phi = np.minimum(disk_sdf(40, 52, 14.3, 17.8, 9), disk_sdf(40, 52, 38.0, 24.1, 11.5))
+        else:
+            phi = 2.0 * np.random.default_rng(7).standard_normal((128, 128))
+            if kind == "noise128-integer":
+                phi = np.round(phi)
+                assert np.count_nonzero(phi == 0) > 1000
         got = contours.extract_contours(phi)
-        assert len(got) == 2 and got == _all_cells_reference(phi)
+        assert got == _all_cells_reference(phi)
+        if kind == "disks":
+            assert len(got) == 2
+        else:
+            # open contours that end on the border, and saddle cells, at scale
+            assert sum(not c.closed for c in got) > 50
+            neg = phi < 0
+            saddle = (neg[:-1, :-1] == neg[1:, 1:]) & (neg[:-1, 1:] == neg[1:, :-1]) \
+                & (neg[:-1, :-1] != neg[:-1, 1:])
+            assert np.count_nonzero(saddle) > 500

@@ -362,6 +362,22 @@ class TestStepAndSegment:
         assert s0.trace == [] and len(s1.trace) == 1 and len(s2.trace) == 2
         assert s2.trace[0] is s1.trace[0]
 
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_segment_hands_step_no_history(self, monkeypatch, disk_model, with_model):
+        # step copies its input's trace, so a run that handed it the history would be quadratic
+        img = self._disk_scene(size=48, r=12, seed=3)
+        model = disk_model if with_model else None
+        inner, seen = descent.step, []
+
+        def step(state, *args):
+            seen.append((state.iter, len(state.trace)))
+            return inner(state, *args)
+
+        monkeypatch.setattr(descent, "step", step)
+        out = descent.segment(img, model, EnergyWeights(gamma=0.05), DescentConfig(max_iters=5))
+        assert seen == [(i, 0) for i in range(5)]
+        assert out.iter == 5 and len(out.trace) == 5
+
     def test_max_iters_zero_returns_init(self):
         img = self._disk_scene(size=32, r=8)
         state = descent.segment(img, None, W, DescentConfig(max_iters=0))
