@@ -57,7 +57,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reinit", help="re-initialize a level set toward an SDF")
     p.add_argument("--phi", required=True)
     p.add_argument("--iters", type=int, required=True)
-    p.add_argument("--dt", type=float, default=0.5)
     p.add_argument("--out", required=True)
     return parser
 
@@ -134,7 +133,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_reinit(args) -> int:
     phi = field.read_sfld(args.phi)
-    out = descent.reinitialize(phi, args.iters, args.dt)
+    out = descent.reinitialize(phi, args.iters)
     field.write_sfld(out, args.out)
     print(f"reinit: {args.iters} iterations written to {args.out}")
     return 0
@@ -169,8 +168,9 @@ def run_cli(argv) -> int:
     except descent.NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as exc:
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

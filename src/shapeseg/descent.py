@@ -14,7 +14,7 @@ revert the group if the energy still rises) so accepted traces are
 non-increasing up to the configured tolerance.
 """
 
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional
 
 import numpy as np
@@ -89,9 +89,9 @@ def _fields(state: SegmentationState, kind: str, compute, *inputs):
 
     Entries are keyed on identity, so a new array always misses. ``segment``
     seeds one memo that lives for its whole run, in which no array is edited
-    in place. A ``step`` handed a memo-less state makes a fresh memo and
-    returns none, so arrays a caller edits in place between steps miss too.
-    Without a memo (outside ``step``) this is compute(*inputs).
+    in place. Without a memo (a state built outside ``segment``) this is
+    compute(*inputs), so arrays a caller edits in place between steps are
+    never served stale.
     """
     memo = state._memo
     if memo is None:
@@ -127,8 +127,9 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     full F2 derivative (Dirac-derivative factor plus the divergence coupling
     through |grad phi|), and the F3 area response.
     """
-    # the result is checked below, so NumPy's overflow warnings would only repeat that
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the result is checked below, so NumPy's overflow warnings would only repeat
+    # that; so would a division by an eps*eps that underflows to 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the prior first, so its warp's temporaries are gone before the phi arrays exist
         pw = None if model is None else prior_field(model, state.lam, state.pose)
         f2w = energy.f2_weight(g, pw, w)
@@ -274,16 +275,13 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
          cfg: DescentConfig) -> SegmentationState:
     """One outer iteration: approximant refresh, parameter step, phi step.
 
-    A state carrying a memo (inside ``segment``) keeps it, so the fields of
-    the phi the previous step accepted are not computed again; a memo-less
-    state gets a fresh memo for this step and its result carries none.
+    The step uses the memo its state carries (``segment`` seeds one), so the
+    fields of the phi the previous step accepted are not computed again; it
+    never makes one, so a memo-less state computes every field afresh.
     """
-    carried = state._memo is not None
-    memo = state._memo if carried else {}
     if model is not None:
         state = refresh_approximants(state, image, model, w, SWEEPS)
     # the trial states below are replace()d from this one and share its memo
-    state = replace(state, _memo=memo)
     e_base = evaluate(state, image, g, model, w).total
 
     def gate(state, e_base, trial_at):
@@ -310,8 +308,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
 
     bd = evaluate(state, image, g, model, w)
     # a new list, so the caller's state keeps its own trace
-    return replace(state, iter=state.iter + 1, trace=[*state.trace, bd],
-                   _memo=memo if carried else None)
+    return replace(state, iter=state.iter + 1, trace=[*state.trace, bd])
 
 
 def default_init_phi(shape) -> np.ndarray:
@@ -373,17 +370,16 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     return replace(state, trace=trace, _memo=None)
 
 
-def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:
+def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:
     """Restore the SDF property by evolving the re-initialization PDE.
 
     Godunov upwinding on |grad phi| with the smoothed sign
     s = phi0 / sqrt(phi0^2 + 1); the zero level set stays put to within a
     pixel while |grad phi| relaxes toward 1.
     """
-    if dt > 0.5 or dt <= 0:
-        raise ValueError("dt must be in (0, 0.5] for stability")
     if iters < 0:
         raise ValueError("iters must be non-negative")
+    dt = 0.5    # the upwind scheme's stability bound on a unit grid
     phi = field.as_field(phi0).copy()
     s = phi0 / np.sqrt(phi0 * phi0 + 1.0)
     pos = s > 0
@@ -407,14 +403,9 @@ def reinitialize(phi0: np.ndarray, iters: int, dt: float = 0.5) -> np.ndarray:
 
 def config_to_kv(w: EnergyWeights, cfg: DescentConfig) -> str:
     """Serialize a fully resolved configuration, every default materialized."""
-    return "".join(f"{k}={v}\n" for k, v in {**asdict(w), **asdict(cfg)}.items())
+    return io.to_kv(w, cfg)
 
 
 def config_from_kv(text: str):
     """Parse a flat key=value config into (EnergyWeights, DescentConfig)."""
-    w_fields = EnergyWeights.__dataclass_fields__
-    c_fields = DescentConfig.__dataclass_fields__
-    kv = io.parse_kv(text, "config",
-                     {k: f.type for k, f in {**w_fields, **c_fields}.items()})
-    return (EnergyWeights(**{k: v for k, v in kv.items() if k in w_fields}),
-            DescentConfig(**{k: v for k, v in kv.items() if k in c_fields}))
+    return io.from_kv(text, "config", EnergyWeights, DescentConfig)

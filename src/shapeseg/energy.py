@@ -80,7 +80,9 @@ def heaviside_eps(z, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    s = np.asarray(z, dtype=np.float64) / eps
+    # z/eps may overflow to +-inf, where the sign below gives the exact limit
+    with np.errstate(over="ignore"):
+        s = np.asarray(z, dtype=np.float64) / eps
     # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on a band only
     e = np.sign(s, out=np.empty_like(s))
     band = np.abs(s) < 6.0
@@ -121,7 +123,9 @@ def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
         raise ValueError("eta and sigma must be positive")
     smoothed = field.gaussian_convolve(image, float(np.sqrt(sigma)))
     gx, gy = field.grad(smoothed)
-    return 1.0 / (1.0 + eta * (gx * gx + gy * gy))
+    # an eta*|grad|^2 that overflows to inf gives the exact limit g = 0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + eta * (gx * gx + gy * gy))
 
 
 def f2_weight(g: np.ndarray, prior_warped, w: EnergyWeights) -> np.ndarray:

@@ -6,7 +6,10 @@ Floats in CSV output are printed with 17 significant digits so re-parsing is
 lossless.
 """
 
-from typing import List
+import re
+from dataclasses import fields
+from itertools import islice
+from typing import List, Optional
 
 import numpy as np
 
@@ -18,29 +21,8 @@ class PgmError(ValueError):
     """Malformed, truncated, or unsupported PGM data."""
 
 
-def _read_tokens(data: bytes, count: int):
-    """First `count` whitespace-separated header tokens, skipping # comments.
-
-    Returns (tokens, offset_past_last_token).
-    """
-    tokens = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < n and not data[j : j + 1].isspace():
-            j += 1
-        if j == i:
-            raise PgmError("truncated PGM header")
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+# a header token is a run of non-whitespace; a # at a token's start comments out its line
+_HEADER_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def read_pgm(path) -> np.ndarray:
@@ -52,9 +34,13 @@ def read_pgm(path) -> np.ndarray:
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmError(f"unsupported PGM magic {magic!r}")
-    tokens, offset = _read_tokens(data, 4)
+    # the magic, width, height and maxval, skipping # comments
+    tokens = list(islice((m for m in _HEADER_TOKEN.finditer(data) if m[0][:1] != b"#"), 4))
+    if len(tokens) < 4:
+        raise PgmError("truncated PGM header")
+    offset = tokens[-1].end()
     try:
-        w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        w, h, maxval = (int(t[0]) for t in tokens[1:])
     except ValueError as exc:
         raise PgmError(f"malformed PGM header: {exc}") from exc
     if w < 1 or h < 1 or not (0 < maxval <= 65535):
@@ -121,12 +107,38 @@ def trace_to_csv(trace: List[EnergyBreakdown]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_kv(text: str, kind: str, types: dict) -> dict:
-    """Parse ``key=value`` lines, converting each value with ``types[key]``.
+def to_kv(*objs) -> str:
+    """``name=value`` lines for every field of the dataclasses ``objs``, in declaration order.
+
+    A tuple is written as its items joined by commas; a None field is left out.
+    """
+    lines = []
+    for obj in objs:
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if isinstance(val, tuple):
+                val = ",".join(map(str, val))
+            if val is not None:
+                lines.append(f"{f.name}={val}\n")
+    return "".join(lines)
+
+
+def _from_text(typ, text: str):
+    """A value of field type ``typ``; a tuple reads as ``kind,number,...``."""
+    if typ in (tuple, Optional[tuple]):
+        kind, *nums = text.split(",")
+        return (kind, *map(float, nums))
+    return typ(text)
+
+
+def from_kv(text: str, kind: str, *classes) -> tuple:
+    """One instance of each dataclass in ``classes``, read from ``key=value`` lines.
 
     ``#`` starts a comment, blank lines are skipped and a later key overrides
-    an earlier one; ``kind`` names the format in error messages.
+    an earlier one. Each key goes to the class that declares it and is
+    converted by its field's type; ``kind`` names the format in error messages.
     """
+    types = {f.name: (cls, f.type) for cls in classes for f in fields(cls)}
     kv = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -139,7 +151,14 @@ def parse_kv(text: str, kind: str, types: dict) -> dict:
         if key not in types:
             raise ValueError(f"unknown {kind} key {key!r}")
         kv[key] = val.strip()
-    return {key: types[key](val) for key, val in kv.items()}
+    args = {cls: {} for cls in classes}
+    for key, val in kv.items():
+        cls, typ = types[key]
+        try:
+            args[cls][key] = _from_text(typ, val)
+        except ValueError as exc:
+            raise ValueError(f"{kind} key {key!r}: {exc}") from exc
+    return tuple(cls(**args[cls]) for cls in classes)
 
 
 def overlay(image: np.ndarray, contours: List[Contour]) -> np.ndarray:

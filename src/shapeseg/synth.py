@@ -51,8 +51,10 @@ def gaussian_noise(seed: int, count: int) -> np.ndarray:
     return z[:count]
 
 
-# parameter count of each shape kind: (cx, cy, r), (cx, cy, a, b, angle), (nx, ny, offset)
-_SHAPE_ARITY = {"disk": 3, "ellipse": 5, "halfplane": 3}
+# parameter count of each kind: shapes (cx, cy, r), (cx, cy, a, b, angle) and
+# (nx, ny, offset); occlusions (theta0, theta1) and (x0, y0, x1, y1)
+_ARITY = {"shape": {"disk": 3, "ellipse": 5, "halfplane": 3},
+          "occlusion": {"arc": 2, "box": 4}}
 
 
 @dataclass
@@ -83,13 +85,15 @@ class SceneSpec:
             raise ValueError("fg and bg must be finite")
         if not 0 <= self.noise_std < math.inf:     # False for NaN
             raise ValueError("noise_std must be finite and >= 0")
-        for name in ("shape", "occlusion"):
-            val = getattr(self, name)
-            if val is not None and not all(map(math.isfinite, val[1:])):
+        for name, arity in _ARITY.items():
+            if getattr(self, name) is None:
+                continue
+            kind, *params = getattr(self, name)
+            if not all(map(math.isfinite, params)):
                 raise ValueError(f"{name} parameters must be finite")
+            if kind in arity and len(params) != arity[kind]:
+                raise ValueError(f"{name} {kind} takes {arity[kind]} parameters")
         kind, *params = self.shape
-        if kind in _SHAPE_ARITY and len(params) != _SHAPE_ARITY[kind]:
-            raise ValueError(f"shape {kind} takes {_SHAPE_ARITY[kind]} parameters")
         if kind in ("disk", "ellipse") and not min(params[2:4]) > 0:   # r, or a and b
             raise ValueError("disk radius and ellipse semi-axes must be positive")
 
@@ -168,23 +172,9 @@ def ellipse_training_set(n: int, a_range, b_range, width: int, height: int):
 
 # flat key=value serialization, shared with the run-config format
 
-def _parse_tuple(s: str) -> tuple:
-    parts = s.split(",")
-    return (parts[0],) + tuple(float(p) for p in parts[1:])
-
-
 def scene_to_kv(spec: SceneSpec) -> str:
-    lines = []
-    for name in SceneSpec.__dataclass_fields__:
-        val = getattr(spec, name)
-        if isinstance(val, tuple):
-            val = ",".join(str(v) for v in val)
-        if val is not None:
-            lines.append(f"{name}={val}")
-    return "\n".join(lines) + "\n"
+    return io.to_kv(spec)
 
 
 def scene_from_kv(text: str) -> SceneSpec:
-    types = {k: f.type for k, f in SceneSpec.__dataclass_fields__.items()}
-    types["shape"] = types["occlusion"] = _parse_tuple
-    return SceneSpec(**io.parse_kv(text, "scene", types))
+    return io.from_kv(text, "scene", SceneSpec)[0]

@@ -186,12 +186,6 @@ class TestReinitCommand:
         m = field.grad_magnitude(out)
         assert np.mean(np.abs(m[band] - 1.0) < 0.2) > 0.9
 
-    def test_bad_dt_is_data_error(self, tmp_path):
-        p_in = tmp_path / "in.sfld"
-        field.write_sfld(np.zeros((8, 8)), p_in)
-        assert run_cli(["reinit", "--phi", str(p_in), "--iters", "1",
-                        "--dt", "0.9", "--out", str(tmp_path / "o.sfld")]) == 2
-
 
 class TestSegmentCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):
@@ -357,9 +351,15 @@ class TestExitCodes:
         assert len(err) == 1 and "finite" in err[0]
         assert "nan" not in captured.out
 
-    @pytest.mark.parametrize("line", ["fg=nan\nbg=inf", "noise_std=-3", "noise_std=nan",
-                                      "shape=disk,nan,15.5,8", "occlusion=arc,0,inf"])
-    def test_bad_scene_is_data_error(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize("line, message", [
+        ("fg=nan\nbg=inf", "finite"), ("noise_std=-3", "finite"), ("noise_std=nan", "finite"),
+        ("shape=disk,nan,15.5,8", "finite"), ("occlusion=arc,0,inf", "finite"),
+        ("occlusion=arc,1", "occlusion arc takes 2 parameters"),
+        ("occlusion=arc,1,2,3", "occlusion arc takes 2 parameters"),
+        ("occlusion=box,1,2,3", "occlusion box takes 4 parameters"),
+        ("width=abc", "scene key 'width'"), ("shape=disk,15.5,x,8", "scene key 'shape'"),
+    ])
+    def test_bad_scene_is_data_error(self, tmp_path, capsys, line, message):
         spec = tmp_path / "scene.txt"
         spec.write_text(f"width=32\nheight=32\nshape=disk,15.5,15.5,8\n{line}\n")
         img, truth = tmp_path / "img.pgm", tmp_path / "truth.pgm"
@@ -367,7 +367,26 @@ class TestExitCodes:
                         "--out-truth", str(truth)])
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "finite" in err[0]
+        assert len(err) == 1 and message in err[0]
+        assert not img.exists() and not truth.exists()
+
+    @pytest.mark.parametrize("exc, shown", [
+        (MemoryError(), "error: out of memory"),
+        (MemoryError("Unable to allocate 74.5 GiB"), "error: Unable to allocate 74.5 GiB"),
+    ])
+    def test_out_of_memory_is_one_data_error(self, tmp_path, capsys, monkeypatch, exc, shown):
+        # a 100000x100000 scene fails this way; raised here without allocating
+        def render(spec):
+            raise exc
+
+        monkeypatch.setattr(synth, "render", render)
+        scene, _ = write_scene(tmp_path)
+        img, truth = tmp_path / "img.pgm", tmp_path / "truth.pgm"
+        code = run_cli(["synth", "--spec", str(scene), "--out-image", str(img),
+                        "--out-truth", str(truth)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [shown] and captured.out == ""
         assert not img.exists() and not truth.exists()
 
     @pytest.mark.parametrize("spec", [
@@ -459,6 +478,53 @@ class TestExitCodes:
             "error: model grid 48x40 does not match image grid 64x64"]
         assert captured.out == ""
         assert not (out / "phi.sfld").exists()
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        img_p, _, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + "max_iters=1.5\n")
+        capsys.readouterr()
+        code = run_cli(["segment", "--image", str(img_p), "--config", str(cfg_p),
+                        "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "config key 'max_iters'" in err[0]
+        assert captured.out == ""
+
+    # a RuntimeWarning raised inside the command fails these (pyproject's filterwarnings)
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    @pytest.mark.parametrize("with_model", [False, True])
+    @pytest.mark.parametrize("eps", ["1e-200", "1e-320"])
+    def test_eps_whose_square_underflows_warns_nothing(self, tmp_path, capsys, command,
+                                                       with_model, eps):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + f"eps={eps}\nmax_iters=3\n")
+        argv = ["--config", str(cfg_p)]
+        if with_model:
+            model_p = tmp_path / "m.smdl"
+            shape_prior.write_smdl(self._disk_model(), model_p)
+            argv += ["--model", str(model_p)]
+        argv += {"segment": ["--out-dir", str(tmp_path / "run")],
+                 "energy": ["--phi", str(phi_p)]}[command]
+        capsys.readouterr()
+        code = run_cli([command, "--image", str(img_p), *argv])
+        captured = capsys.readouterr()
+        if command == "segment":
+            # eps^2 = 0 divides the Dirac derivative: the checked gradient aborts the run
+            assert code == 3
+            assert captured.err == "numerical abort: non-finite level-set gradient\n"
+        else:
+            # H and the Dirac weight take their exact step limits
+            assert code == 0 and captured.err == ""
+
+    def test_huge_eta_warns_nothing(self, tmp_path, capsys):
+        # eta*|grad|^2 overflows on the edges, where g = 0 is the exact limit
+        img_p, _, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + "eta=1e308\nmax_iters=3\n")
+        capsys.readouterr()
+        code = run_cli(["segment", "--image", str(img_p), "--config", str(cfg_p),
+                        "--out-dir", str(tmp_path / "run")])
+        assert code == 0 and capsys.readouterr().err == ""
 
     def test_retired_config_key_through_the_entry_point(self, tmp_path):
         # a config file written before the schedule shrank to three keys

@@ -527,6 +527,7 @@ class TestFieldsComputedOncePerStep:
     @pytest.mark.parametrize("with_model", [False, True])
     def test_every_call_in_a_step(self, monkeypatch, disk_model, with_model):
         img, g, model, state = self._scene(disk_model, with_model)
+        state = replace(state, _memo={})   # as in segment, so the step reuses fields
         seen = []
         self._checked(monkeypatch, seen)
         for _ in range(3):
@@ -539,7 +540,7 @@ class TestFieldsComputedOncePerStep:
         img, g, model, state = self._scene(disk_model, with_model)
         seen = []
         real_eval, real_grad = self._checked(monkeypatch, seen)
-        descent.step(state, img, g, model, self.W, DescentConfig())
+        descent.step(replace(state, _memo={}), img, g, model, self.W, DescentConfig())
         s = seen[-1]
         probes = [s, replace(s, phi=s.phi.copy()), replace(s, phi=s.phi + 0.25), s]
         if model is not None:
@@ -751,10 +752,6 @@ class TestReinitialize:
         near = np.abs(phi0) < 2
         assert np.max(np.abs(out[near] - phi0[near])) < 0.1
 
-    def test_dt_validated(self):
-        with pytest.raises(ValueError):
-            descent.reinitialize(np.zeros((8, 8)), 1, dt=0.6)
-
     def test_negative_iters_rejected(self):
         with pytest.raises(ValueError, match="iters"):
             descent.reinitialize(np.zeros((8, 8)), -5)
@@ -815,6 +812,13 @@ class TestConfigKv:
     def test_validation_applies(self):
         with pytest.raises(ValueError):
             descent.config_from_kv("alpha=-1\n")
+
+    @pytest.mark.parametrize("text, key", [("max_iters=1.5\n", "max_iters"),
+                                           ("alpha=0.1\neps=abc\n", "eps"),
+                                           ("tol=\n", "tol")])
+    def test_bad_value_names_its_key(self, text, key):
+        with pytest.raises(ValueError, match=f"^config key '{key}': "):
+            descent.config_from_kv(text)
 
     @pytest.mark.parametrize("text", ["alpha=nan\ntol=nan\ndt_phi=inf\n",
                                       "tol=nan\n", "dt_phi=inf\n", "zeta=inf\n"])

@@ -52,9 +52,11 @@ class TestPgm:
         back = io.read_pgm(p)
         assert np.array_equal(back, [[0.0, 255.0], [127.0, 128.0]])
 
-    def test_p2_ascii_with_comments(self, tmp_path):
+    @pytest.mark.parametrize("head", [b"P2\n# a comment\n3 2\n255\n",
+                                      b"P2\r3\x0b2\x0c255\r"])
+    def test_p2_ascii_with_comments(self, tmp_path, head):
         p = tmp_path / "a.pgm"
-        p.write_bytes(b"P2\n# a comment\n3 2\n255\n0 1 2\n250 251 252\n")
+        p.write_bytes(head + b"0 1 2\n250 251 252\n")
         back = io.read_pgm(p)
         assert np.array_equal(back, [[0, 1, 2], [250, 251, 252]])
 
@@ -76,10 +78,16 @@ class TestPgm:
         with pytest.raises(io.PgmError, match="truncated"):
             io.read_pgm(p)
 
-    def test_malformed_header(self, tmp_path):
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\nxx 4\n255\n", "^malformed PGM header: "),
+        # a # inside a token starts no comment
+        (b"P5\n2 1\n255#x\n\x00\x00", r"^malformed PGM header: .*b'255#x'$"),
+        (b"P5\n2 1 # the maxval follows", "^truncated PGM header$"),
+    ])
+    def test_malformed_header(self, tmp_path, data, message):
         p = tmp_path / "h.pgm"
-        p.write_bytes(b"P5\nxx 4\n255\n")
-        with pytest.raises(io.PgmError):
+        p.write_bytes(data)
+        with pytest.raises(io.PgmError, match=message):
             io.read_pgm(p)
 
     @pytest.mark.parametrize("sample", [b"nan", b"inf", b"300", b"1.5", b"-1", b"1e2"])
