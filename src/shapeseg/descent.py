@@ -4,7 +4,8 @@ The level-set gradient is the exact derivative of the discrete energy (every
 term of it, including the Dirac-derivative contribution most level-set codes
 drop), so it can be validated against finite differences of the energy to
 tight tolerance. Shape and pose gradients use central finite differences
-(cheap: p + 4 scalars). The smooth approximants I_in/I_out are refreshed each
+over the p + 4 scalars, 2(p + 4) full energy evaluations, about half of a
+model step. The smooth approximants I_in/I_out are refreshed each
 outer iteration by red-black Gauss-Seidel sweeps on their weighted
 screened-Poisson normal equations.
 
@@ -25,7 +26,7 @@ from .shape_prior import TAU_MAX, TAU_MIN, Pose, ShapeModel
 
 
 class NumericalAbort(RuntimeError):
-    """Raised when an energy term or gradient turns non-finite."""
+    """Raised when an energy term, a gradient or a re-initialized field turns non-finite."""
 
 
 # the parameter step sizes and finite-difference width of ``step``
@@ -373,29 +374,32 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
 def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:
     """Restore the SDF property by evolving the re-initialization PDE.
 
-    Godunov upwinding on |grad phi| with the smoothed sign
-    s = phi0 / sqrt(phi0^2 + 1); the zero level set stays put to within a
-    pixel while |grad phi| relaxes toward 1.
+    Godunov upwinding on |grad phi| in the Rouy-Tourin form: per axis,
+    max(sign(s) D-phi, -sign(s) D+phi, 0)^2 with replicated borders, and the
+    smoothed sign s = phi / sqrt(phi^2 + 1) saturating at +-1. The zero level
+    set stays put to within a pixel while |grad phi| relaxes toward 1.
+    Raises NumericalAbort if the result is not finite (an upwind step
+    overflowed).
     """
     if iters < 0:
         raise ValueError("iters must be non-negative")
     dt = 0.5    # the upwind scheme's stability bound on a unit grid
     phi = field.as_field(phi0).copy()
-    s = phi0 / np.sqrt(phi0 * phi0 + 1.0)
-    pos = s > 0
-    neg = s < 0
-    for _ in range(iters):
-        p = np.pad(phi, 1, mode="edge")
-        a = phi - p[1:-1, :-2]    # backward x
-        b = p[1:-1, 2:] - phi     # forward x
-        c = phi - p[:-2, 1:-1]    # backward y
-        d = p[2:, 1:-1] - phi     # forward y
-        g_pos = np.sqrt(np.maximum(np.maximum(a, 0.0) ** 2, np.minimum(b, 0.0) ** 2)
-                        + np.maximum(np.maximum(c, 0.0) ** 2, np.minimum(d, 0.0) ** 2))
-        g_neg = np.sqrt(np.maximum(np.minimum(a, 0.0) ** 2, np.maximum(b, 0.0) ** 2)
-                        + np.maximum(np.minimum(c, 0.0) ** 2, np.maximum(d, 0.0) ** 2))
-        grad_mag = np.where(pos, g_pos, np.where(neg, g_neg, 0.0))
-        phi = phi - dt * s * (grad_mag - 1.0)
+    q = np.clip(phi, -1e150, 1e150)     # q * q cannot overflow; no bit moves below 1e150
+    s = q / np.sqrt(q * q + 1.0)
+    sign = np.sign(s)
+    h, w = phi.shape
+    # entry k holds phi[k] - phi[k-1]: backward at k, forward at k-1; ends stay 0
+    dx, dy = np.zeros((h, w + 1)), np.zeros((h + 1, w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iters):
+            np.subtract(phi[:, 1:], phi[:, :-1], out=dx[:, 1:-1])
+            np.subtract(phi[1:], phi[:-1], out=dy[1:-1])
+            gx = np.maximum(np.maximum(sign * dx[:, :-1], -sign * dx[:, 1:]), 0.0)
+            gy = np.maximum(np.maximum(sign * dy[:-1], -sign * dy[1:]), 0.0)
+            phi = phi - dt * s * (np.sqrt(gx * gx + gy * gy) - 1.0)
+    if not np.all(np.isfinite(phi)):
+        raise NumericalAbort("non-finite re-initialized field")
     return phi
 
 

@@ -200,17 +200,16 @@ def write_sfld(f: np.ndarray, path) -> None:
 def read_sfld(path) -> np.ndarray:
     """Read a field written by :func:`write_sfld`. Bit-exact round trip.
 
-    Raises ValueError, like :func:`as_field`, for an empty or non-finite field.
+    Raises ValueError for a header that claims more data than the file holds
+    and, like :func:`as_field`, for an empty or non-finite field.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SFLD_MAGIC:
-            raise ValueError(f"bad SFLD magic: {magic!r}")
-        hdr = fh.read(8)
-        if len(hdr) != 8:
-            raise ValueError("truncated SFLD header")
-        w, h = struct.unpack("<II", hdr)
-        raw = fh.read(8 * w * h)
-        if len(raw) != 8 * w * h:
-            raise ValueError("truncated SFLD data")
-    return as_field(np.frombuffer(raw, dtype="<f8").reshape(h, w).astype(np.float64))
+        data = fh.read()
+    if data[:4] != SFLD_MAGIC:
+        raise ValueError(f"bad SFLD magic: {data[:4]!r}")
+    if len(data) < 12:
+        raise ValueError("truncated SFLD header")
+    w, h = struct.unpack_from("<II", data, 4)
+    if len(data) < 12 + 8 * w * h:
+        raise ValueError("truncated SFLD data")
+    return as_field(np.frombuffer(data, "<f8", w * h, 12).reshape(h, w).astype(np.float64))

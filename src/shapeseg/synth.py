@@ -94,7 +94,8 @@ class SceneSpec:
             if kind in arity and len(params) != arity[kind]:
                 raise ValueError(f"{name} {kind} takes {arity[kind]} parameters")
         kind, *params = self.shape
-        if kind in ("disk", "ellipse") and not min(params[2:4]) > 0:   # r, or a and b
+        # r, or a and b, compared as Python floats so a NumPy scalar cannot overflow in a cast
+        if kind in ("disk", "ellipse") and not min(map(float, params[2:4])) > 0:
             raise ValueError("disk radius and ellipse semi-axes must be positive")
 
 
@@ -132,6 +133,8 @@ def _occlusion_mask(spec: SceneSpec) -> np.ndarray:
     ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
     kind = spec.occlusion[0]
     if kind == "arc":
+        if spec.shape[0] not in ("disk", "ellipse"):    # the arc is centred on the shape
+            raise ValueError(f"an arc occlusion needs a disk or ellipse, not a {spec.shape[0]}")
         _, t0, t1 = spec.occlusion
         cx, cy = spec.shape[1], spec.shape[2]
         ang = np.arctan2(ys - cy, xs - cx)

@@ -358,6 +358,8 @@ class TestExitCodes:
         ("occlusion=arc,1,2,3", "occlusion arc takes 2 parameters"),
         ("occlusion=box,1,2,3", "occlusion box takes 4 parameters"),
         ("width=abc", "scene key 'width'"), ("shape=disk,15.5,x,8", "scene key 'shape'"),
+        ("shape=halfplane,1,0,16\nocclusion=arc,0,1",
+         "an arc occlusion needs a disk or ellipse, not a halfplane"),
     ])
     def test_bad_scene_is_data_error(self, tmp_path, capsys, line, message):
         spec = tmp_path / "scene.txt"
@@ -618,6 +620,20 @@ class TestExitCodes:
         assert len(err) == 1 and "non-finite" in err[0]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["reinit", "energy"])
+    def test_sfld_header_larger_than_file_is_one_data_error(self, tmp_path, capsys, command):
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        phi_p.write_bytes(field.SFLD_MAGIC + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+                          + bytes(64))
+        out_p = tmp_path / "out.sfld"
+        args = {"reinit": ["--iters", "1", "--out", str(out_p)],
+                "energy": ["--image", str(img_p), "--config", str(cfg_p)]}[command]
+        capsys.readouterr()
+        assert run_cli([command, "--phi", str(phi_p), *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: truncated SFLD data"]
+        assert captured.out == "" and not out_p.exists()
+
     @pytest.mark.parametrize("sample", ["nan", "300", "1.5"])
     def test_bad_p2_sample_is_data_error(self, tmp_path, capsys, sample):
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
@@ -669,6 +685,21 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "iters" in err[0]
         assert not p_out.exists()
+
+    @pytest.mark.parametrize("huge", ["one_pixel", "signs"])
+    def test_reinit_overflow_is_one_numerical_abort(self, tmp_path, capsys, huge):
+        phi = descent.default_init_phi((16, 16))
+        if huge == "one_pixel":
+            phi[3, 3] = 1e200
+        else:
+            phi = np.where(phi < 0, -1e200, 1e200)
+        p_in, p_out = tmp_path / "in.sfld", tmp_path / "out.sfld"
+        field.write_sfld(phi, p_in)
+        code = run_cli(["reinit", "--phi", str(p_in), "--iters", "5", "--out", str(p_out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["numerical abort: non-finite re-initialized field"]
+        assert captured.out == "" and not p_out.exists()
 
     def test_numerical_abort_code(self, tmp_path, monkeypatch, capsys):
         scene, _ = write_scene(tmp_path)

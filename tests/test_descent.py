@@ -758,6 +758,51 @@ class TestReinitialize:
         phi0 = disk_sdf(8, 8, 3.5, 3.5, 2)
         assert np.array_equal(descent.reinitialize(phi0, 0), phi0)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 3), (17, 16), (48, 40)])
+    def test_matches_two_branch_godunov(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for scale in (1e-300, 1e-3, 1.0, 7.0, 1e40, 1e120):
+            f = scale * rng.standard_normal(shape)
+            f[rng.random(shape) < 0.15] = 0.0
+            f[rng.random(shape) < 0.15] = -0.0
+            for iters in range(9):
+                got = descent.reinitialize(f, iters)
+                assert got.tobytes() == _godunov_reference(f, iters).tobytes()
+
+    @pytest.mark.parametrize("iters", [0, 5])
+    def test_huge_field_aborts_after_any_step(self, iters):
+        one_pixel = descent.default_init_phi((16, 16))
+        one_pixel[3, 3] = 1e200
+        signs = np.where(descent.default_init_phi((16, 16)) < 0, -1e200, 1e200)
+        for phi in (one_pixel, signs):
+            if iters == 0:
+                assert descent.reinitialize(phi, 0).tobytes() == phi.tobytes()
+            else:
+                with pytest.raises(descent.NumericalAbort, match="non-finite"):
+                    descent.reinitialize(phi, iters)
+
+
+def _godunov_reference(phi0, iters):
+    # the two-branch form of the upwind scheme: one magnitude for each sign of s
+    dt = 0.5
+    phi = field.as_field(phi0).copy()
+    s = phi / np.sqrt(phi * phi + 1.0)
+    pos = s > 0
+    neg = s < 0
+    for _ in range(iters):
+        p = np.pad(phi, 1, mode="edge")
+        a = phi - p[1:-1, :-2]    # backward x
+        b = p[1:-1, 2:] - phi     # forward x
+        c = phi - p[:-2, 1:-1]    # backward y
+        d = p[2:, 1:-1] - phi     # forward y
+        g_pos = np.sqrt(np.maximum(np.maximum(a, 0.0) ** 2, np.minimum(b, 0.0) ** 2)
+                        + np.maximum(np.maximum(c, 0.0) ** 2, np.minimum(d, 0.0) ** 2))
+        g_neg = np.sqrt(np.maximum(np.minimum(a, 0.0) ** 2, np.maximum(b, 0.0) ** 2)
+                        + np.maximum(np.minimum(c, 0.0) ** 2, np.maximum(d, 0.0) ** 2))
+        grad_mag = np.where(pos, g_pos, np.where(neg, g_neg, 0.0))
+        phi = phi - dt * s * (grad_mag - 1.0)
+    return phi
+
 
 class TestConfigKv:
     def test_roundtrip(self):

@@ -120,6 +120,13 @@ class TestRender:
         with pytest.raises(ValueError, match="margin"):
             synth.render(SceneSpec(width=64, height=64, shape=("disk", 31.5, 31.5, 31.0)))
 
+    def test_arc_occlusion_needs_a_centred_shape(self):
+        # a halfplane's shape[1:3] is its normal, not a centre
+        spec = SceneSpec(width=32, height=32, shape=("halfplane", 1.0, 0.0, 16.0),
+                         occlusion=("arc", 0.0, 1.0))
+        with pytest.raises(ValueError, match="arc occlusion needs a disk or ellipse, not a halfplane"):
+            synth.render(spec)
+
     def test_unknown_kinds(self):
         with pytest.raises(ValueError):
             synth.render(SceneSpec(shape=("blob", 1.0)))
@@ -154,6 +161,11 @@ class TestSceneValidation:
     def test_degenerate_geometry_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+
+    def test_numpy_scalar_axis_beside_a_huge_one(self):
+        # compared in float32, 1e300 would overflow in a cast
+        spec = SceneSpec(shape=("ellipse", 63.5, 63.5, np.float32(10.0), 1e300, 0.0))
+        assert spec.shape[4] == 1e300
 
 
 class TestEllipseTrainingSet:
