@@ -211,56 +211,55 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     With mu = 0 pixels decouple: the result is the image wherever the weight
     is positive and the warm start elsewhere. Each half-sweep is an exact
     block coordinate minimization, so the objective never increases.
+
+    Every field lives on one raveled layout with a zero border and an odd row
+    pitch p = w + 3 - w % 2, pixel (y, x) at index (y + 1) * p + x + 1. An odd
+    pitch makes a pixel's colour (x + y) % 2 its index's parity, and its four
+    neighbours, at +-1 and +-p, the other parity; so each colour is one
+    stride-2 slice, and a sweep is two passes. An overflow is left for the
+    energy's finiteness check to report.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
     h, w = image.shape
-    # the iterate j lives inside a zero border, so its neighbours are plain views
-    jp = np.zeros((h + 2, w + 2))
-    jp[1:-1, 1:-1] = warm
-    # neighbor weights entering each pixel's normal equation
-    wl = np.zeros_like(wgt); wl[:, 1:] = wgt[:, :-1]   # w at left neighbor
-    wu = np.zeros_like(wgt); wu[1:, :] = wgt[:-1, :]   # w at upper neighbor
-    nf = np.full((h, w), 2.0)
-    nf[:, -1] -= 1.0
-    nf[-1, :] -= 1.0
-    diag = wgt + mu * (wgt * nf + wl + wu)
-    live = diag > 0
-    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
-    if rows.size == 0:
-        return jp[1:-1, 1:-1].copy()
-    # pixels with diag <= 0 are never written, so sweep only their bounding box
-    y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
-    wi = wgt * image
-    # colour c (red, then black) is two strided sublattices: rows r::2, columns (c + r)::2
-    subs = []
-    for c in (0, 1):
-        for r in (0, 1):
-            # the first row and column of the box with the sublattice's global parity
-            ry = y0 + (r - y0) % 2
-            cx = x0 + ((c + r) - x0) % 2
-            # j on the sublattice, then its right, lower, left and upper neighbours
-            views = [jp[1 + ry + dy:y1 + 1 + dy:2, 1 + cx + dx:x1 + 1 + dx:2]
-                     for dy, dx in ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))]
-            s = (slice(ry, y1, 2), slice(cx, x1, 2))
-            coef = [np.ascontiguousarray(a[s]) for a in (wi, wgt, wl, wu, diag)]
-            subs.append((views, *coef, coef[-1] > 0))
-    # the sweeps read only the sublattice copies: free the full-size fields, then
-    # take two work arrays for the right-hand side, shared by the sublattices
-    del wi, wl, wu, nf, diag, live
-    work = np.empty((2, max(sub[1].size for sub in subs)))
-    subs = [(*sub, *(a[:sub[1].size].reshape(sub[1].shape) for a in work)) for sub in subs]
-    for _ in range(sweeps):
-        for (j, jr, jd, jl, ju), wi_s, wgt_s, wl_s, wu_s, diag_s, pos, rhs, t in subs:
-            # rhs = wi_s + mu*(wgt_s*(jr + jd) + wl_s*jl + wu_s*ju), in place
+    p = w + 3 - w % 2
+    jp, wp, imp, inside = (np.pad(np.asarray(a, np.float64), ((1, 1), (1, p - w - 1))).ravel()
+                           for a in (warm, wgt, image, np.ones((h, w))))
+    # a pixel with diag > 0 has a positive weight at itself, its left or its upper
+    # neighbour, so the sweeps span [first, last + p] of the positive weights
+    live = np.flatnonzero(wp > 0)
+    a, last = (live[0], min(live[-1] + p, h * p + w)) if live.size else (0, -1)
+    del live
+    n = (last - a) // 2 + 1     # per colour; an odd span gains one index, never written
+
+    def at(buf, st, d=0):
+        return buf[st + d:st + d + 2 * n:2]
+
+    colours = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for st in (a + a % 2, a + 1 - a % 2):       # red (even indices), then black
+            # the weights of the pixel, its left and its upper neighbour
+            wg, wl, wu = (at(wp, st, d).copy() for d in (0, -1, -p))
+            diag = wg + mu * (wg * (at(inside, st, 1) + at(inside, st, p)) + wl + wu)
+            # the pad after each row has diag > 0 through its left neighbour
+            pos = (diag > 0) & (at(inside, st) > 0)
+            # j, then its right, lower, left and upper neighbours
+            views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
+            colours.append((views, wg * at(imp, st), wg, wl, wu, diag, pos))
+        # the sweeps read only the per-colour copies: free the padded inputs, then
+        # take two work arrays for the right-hand side, shared by both colours
+        del wp, imp, inside
+        rhs, t = np.empty((2, n))
+        for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours * sweeps:
+            # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
             np.add(jr, jd, out=rhs)
-            rhs *= wgt_s
-            rhs += np.multiply(wl_s, jl, out=t)
-            rhs += np.multiply(wu_s, ju, out=t)
+            rhs *= wg
+            rhs += np.multiply(wl, jl, out=t)
+            rhs += np.multiply(wu, ju, out=t)
             rhs *= mu
-            rhs += wi_s
-            np.divide(rhs, diag_s, out=j, where=pos)
-    return jp[1:-1, 1:-1].copy()
+            rhs += wi
+            np.divide(rhs, diag, out=j, where=pos)
+    return jp.reshape(h + 2, p)[1:-1, 1:w + 1].copy()
 
 
 def refresh_approximants(state: SegmentationState, image, model,

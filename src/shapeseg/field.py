@@ -88,7 +88,10 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
         raise ValueError(f"sigma must be positive, got {sigma}")
     r = int(np.ceil(3.0 * sigma))
     t = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (t / sigma) ** 2)
+    # for a sigma below about 1e-154 the square overflows off the centre, where
+    # exp(-inf) = 0 is the exact limit: the kernel is [0, 1, 0]
+    with np.errstate(over="ignore"):
+        k = np.exp(-0.5 * (t / sigma) ** 2)
     return k / k.sum()
 
 

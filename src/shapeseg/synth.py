@@ -113,10 +113,16 @@ def _shape_mask(spec: SceneSpec) -> np.ndarray:
         ct, st = np.cos(angle), np.sin(angle)
         u = (xs - cx) * ct + (ys - cy) * st
         v = -(xs - cx) * st + (ys - cy) * ct
-        return (u / a) ** 2 + (v / b) ** 2 < 1.0
+        # a tiny semi-axis overflows the squares, where inf gives the exact limit
+        with np.errstate(over="ignore"):
+            return (u / a) ** 2 + (v / b) ** 2 < 1.0
     if kind == "halfplane":
         _, nx, ny, offset = spec.shape
-        return nx * xs + ny * ys < offset
+        with np.errstate(over="ignore", invalid="ignore"):
+            side = nx * xs + ny * ys
+        if np.isnan(side).any():    # inf - inf: the side of some pixel is unknown
+            raise ValueError("halfplane normal overflows on the grid")
+        return side < offset
     raise ValueError(f"unknown shape kind {kind!r}")
 
 
@@ -154,7 +160,10 @@ def render(spec: SceneSpec):
     image = np.where(visible, spec.fg, spec.bg).astype(np.float64)
     if spec.noise_std > 0:
         noise = gaussian_noise(spec.noise_seed, image.size).reshape(image.shape)
-        image = image + spec.noise_std * noise
+        with np.errstate(over="ignore"):
+            image = image + spec.noise_std * noise
+        if not np.isfinite(image).all():
+            raise ValueError("noise_std overflows the image")
     return image, truth
 
 

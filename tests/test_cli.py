@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -360,6 +361,10 @@ class TestExitCodes:
         ("width=abc", "scene key 'width'"), ("shape=disk,15.5,x,8", "scene key 'shape'"),
         ("shape=halfplane,1,0,16\nocclusion=arc,0,1",
          "an arc occlusion needs a disk or ellipse, not a halfplane"),
+        # inf - inf leaves the side of some pixels unknown
+        ("shape=halfplane,1e308,-1e308,5", "halfplane normal overflows"),
+        # 79 of the 1024 pixels would be +-inf
+        ("noise_std=1e308", "noise_std overflows"),
     ])
     def test_bad_scene_is_data_error(self, tmp_path, capsys, line, message):
         spec = tmp_path / "scene.txt"
@@ -526,6 +531,32 @@ class TestExitCodes:
         capsys.readouterr()
         code = run_cli(["segment", "--image", str(img_p), "--config", str(cfg_p),
                         "--out-dir", str(tmp_path / "run")])
+        assert code == 0 and capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_solver_overflow_is_one_numerical_abort(self, tmp_path, capsys, command):
+        # mu*weight overflows in the approximant solver; the F4 check reports it
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + "mu=1e308\nmax_iters=2\n")
+        model_p = tmp_path / "m.smdl"
+        shape_prior.write_smdl(self._disk_model(), model_p)
+        argv = {"segment": ["--out-dir", str(tmp_path / "run")],
+                "energy": ["--phi", str(phi_p)]}[command]
+        capsys.readouterr()
+        code = run_cli([command, "--image", str(img_p), "--model", str(model_p),
+                        "--config", str(cfg_p), *argv])
+        assert code == 3
+        assert capsys.readouterr().err == "numerical abort: non-finite energy term f4\n"
+
+    @pytest.mark.parametrize("command", ["segment", "energy"])
+    def test_sigma_whose_deviation_underflows_warns_nothing(self, tmp_path, capsys, command):
+        # a standard deviation of 2.2e-162 overflows the kernel's square: no smoothing
+        img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
+        cfg_p.write_text(cfg_p.read_text() + "sigma=5e-324\nmax_iters=2\n")
+        argv = {"segment": ["--out-dir", str(tmp_path / "run")],
+                "energy": ["--phi", str(phi_p)]}[command]
+        capsys.readouterr()
+        code = run_cli([command, "--image", str(img_p), "--config", str(cfg_p), *argv])
         assert code == 0 and capsys.readouterr().err == ""
 
     def test_retired_config_key_through_the_entry_point(self, tmp_path):
@@ -730,3 +761,75 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert proc.stdout == "0.1.0\n"
         assert proc.stderr == ""
+
+
+def _config_extremes():
+    """(command, key, value, with_model) for every float key of the run config."""
+    keys = [f.name for cls in (EnergyWeights, DescentConfig) for f in fields(cls)
+            if f.type is float]
+    return [(command, key, value, with_model) for key in keys
+            for value in ("1e308", "5e-324") for command in ("segment", "energy")
+            for with_model in (False, True)]
+
+
+# one line of each scene key and kind; a later key overrides the base scene's
+_SCENE_LINES = ["fg=200", "bg=50", "noise_std=3", "shape=disk,15.5,15.5,8",
+                "shape=ellipse,15.5,15.5,8,5,0.3", "shape=halfplane,1,0.5,16",
+                "occlusion=arc,0,1", "occlusion=box,4,4,10,10"]
+
+
+def _scene_extremes():
+    """Scene lines with each numeric parameter, in turn, at +-1e308 and 1e-300."""
+    out = []
+    for line in _SCENE_LINES:
+        key, text = line.split("=")
+        parts = text.split(",")
+        for i in range(1 if key in ("shape", "occlusion") else 0, len(parts)):
+            for value in ("1e308", "-1e308", "1e-300"):
+                edited = ",".join([*parts[:i], value, *parts[i + 1:]])
+                out.append(f"{key}={edited}")
+    return out
+
+
+class TestExtremeValues:
+    """Every numeric input at the ends of the float range: one line and a known code.
+
+    pyproject's filterwarnings turns a leaked NumPy warning into an exception,
+    so a warning fails these as a traceback would.
+    """
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("extremes")
+        spec = synth.SceneSpec(width=16, height=16, shape=("disk", 7.5, 7.5, 4.0),
+                               noise_std=5.0)
+        image, _ = synth.render(spec)
+        io.write_pgm(image, d / "img.pgm")
+        field.write_sfld(descent.default_init_phi((16, 16)), d / "phi.sfld")
+        masks = [synth.render(replace(spec, shape=("disk", 7.5, 7.5, r)))[1] for r in (3.0, 4.0, 5.0)]
+        model = shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
+        shape_prior.write_smdl(model, d / "m.smdl")
+        return d
+
+    def _check(self, capsys, argv):
+        capsys.readouterr()
+        code = run_cli(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (0, 2, 3) and len(err) <= 1, (code, err)
+
+    @pytest.mark.parametrize("command, key, value, with_model", _config_extremes())
+    def test_config(self, inputs, tmp_path, capsys, command, key, value, with_model):
+        cfg_p = write_config(tmp_path, cfg=DescentConfig(max_iters=2))
+        cfg_p.write_text(cfg_p.read_text() + f"{key}={value}\n")
+        argv = [command, "--image", str(inputs / "img.pgm"), "--config", str(cfg_p)]
+        argv += ["--model", str(inputs / "m.smdl")] if with_model else []
+        argv += {"segment": ["--out-dir", str(tmp_path / "run")],
+                 "energy": ["--phi", str(inputs / "phi.sfld")]}[command]
+        self._check(capsys, argv)
+
+    @pytest.mark.parametrize("line", _scene_extremes())
+    def test_scene(self, tmp_path, capsys, line):
+        spec = tmp_path / "scene.txt"
+        spec.write_text(f"width=32\nheight=32\nshape=disk,15.5,15.5,8\nnoise_std=3\n{line}\n")
+        self._check(capsys, ["synth", "--spec", str(spec), "--out-image",
+                             str(tmp_path / "img.pgm"), "--out-truth", str(tmp_path / "t.pgm")])

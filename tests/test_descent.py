@@ -308,6 +308,99 @@ class TestSolveSmoothApproximant:
                                              -1.0, 1, np.zeros((4, 4)))
 
 
+class TestSolverMatchesSublatticeReference:
+    MUS = [0.0, 0.37, 1.0, 1e3]
+
+    @pytest.mark.parametrize("mu", MUS)
+    def test_full_grid_weights(self, mu):
+        # the arc_model prior region at its mean shape (a disk of radius 20), its
+        # complement, and random weights with zeros
+        img = smooth_image(128, 128)
+        rng = np.random.default_rng(5)
+        region = energy.heaviside_eps(-disk_sdf(128, 128, 63.5, 63.5, 20.0), W.eps)
+        noisy = rng.uniform(0.0, 1.0, size=img.shape)
+        noisy[rng.uniform(size=img.shape) < 0.3] = 0.0
+        warm = np.full_like(img, img.mean())
+        for wgt in (region, 1.0 - region, noisy):
+            for sweeps in (0, 1, 20, 100):
+                got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
+                assert got.tobytes() == _sublattice_reference(img, wgt, mu, sweeps, warm).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (1, 9), (8, 1), (9, 1), (6, 7), (7, 6),
+                                       (12, 13), (13, 12), (10, 10)])
+    @pytest.mark.parametrize("mu", MUS)
+    def test_blocks_on_small_grids(self, shape, mu):
+        # blocks whose first pixel has either colour (so the sweep span starts on
+        # either index parity), the whole grid, and an empty weight
+        h, w = shape
+        rng = np.random.default_rng(h * 37 + w)
+        img = rng.uniform(0, 255, size=shape)
+        warm = rng.normal(100, 50, size=shape)
+        weights = [np.zeros(shape)]
+        for y0, x0 in ((0, 0), (0, 1), (1, 0), (1, 1), (h // 2, w // 2)):
+            wgt = np.zeros(shape)
+            block = (slice(min(y0, h - 1), h - h // 3), slice(min(x0, w - 1), w - w // 4))
+            wgt[block] = rng.uniform(0.05, 1.0, size=wgt[block].shape)
+            wgt[rng.uniform(size=shape) < 0.2] = 0.0
+            weights.append(wgt)
+        for wgt in weights:
+            for sweeps in (0, 1, 20, 100):
+                got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
+                want = _sublattice_reference(img, wgt, mu, sweeps, warm)
+                assert got.tobytes() == want.tobytes() and got is not warm
+
+    def test_integer_inputs_give_a_fresh_float_array(self):
+        img = np.arange(35).reshape(5, 7) * 3
+        warm = np.full((5, 7), 40)
+        wgt = (img % 4 > 0).astype(np.float64)
+        for sweeps in (0, 3):
+            got = descent.solve_smooth_approximant(img, wgt, 0.5, sweeps, warm)
+            want = _sublattice_reference(img, wgt, 0.5, sweeps, warm)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def _sublattice_reference(image, wgt, mu, sweeps, warm):
+    # red-black Gauss-Seidel over four strided sublattices: on an even grid pitch
+    # one colour is two strides, rows r::2 and columns (c + r)::2
+    h, w = image.shape
+    jp = np.zeros((h + 2, w + 2))
+    jp[1:-1, 1:-1] = warm
+    wl = np.zeros_like(wgt); wl[:, 1:] = wgt[:, :-1]
+    wu = np.zeros_like(wgt); wu[1:, :] = wgt[:-1, :]
+    nf = np.full((h, w), 2.0)
+    nf[:, -1] -= 1.0
+    nf[-1, :] -= 1.0
+    diag = wgt + mu * (wgt * nf + wl + wu)
+    live = diag > 0
+    rows, cols = np.flatnonzero(live.any(axis=1)), np.flatnonzero(live.any(axis=0))
+    if rows.size == 0:
+        return jp[1:-1, 1:-1].copy()
+    y0, y1, x0, x1 = rows[0], rows[-1] + 1, cols[0], cols[-1] + 1
+    wi = wgt * image
+    subs = []
+    for c in (0, 1):
+        for r in (0, 1):
+            ry = y0 + (r - y0) % 2
+            cx = x0 + ((c + r) - x0) % 2
+            views = [jp[1 + ry + dy:y1 + 1 + dy:2, 1 + cx + dx:x1 + 1 + dx:2]
+                     for dy, dx in ((0, 0), (0, 1), (1, 0), (0, -1), (-1, 0))]
+            s = (slice(ry, y1, 2), slice(cx, x1, 2))
+            coef = [np.ascontiguousarray(a[s]) for a in (wi, wgt, wl, wu, diag)]
+            subs.append((views, *coef, coef[-1] > 0))
+    work = np.empty((2, max(sub[1].size for sub in subs)))
+    subs = [(*sub, *(a[:sub[1].size].reshape(sub[1].shape) for a in work)) for sub in subs]
+    for _ in range(sweeps):
+        for (j, jr, jd, jl, ju), wi_s, wgt_s, wl_s, wu_s, diag_s, pos, rhs, t in subs:
+            np.add(jr, jd, out=rhs)
+            rhs *= wgt_s
+            rhs += np.multiply(wl_s, jl, out=t)
+            rhs += np.multiply(wu_s, ju, out=t)
+            rhs *= mu
+            rhs += wi_s
+            np.divide(rhs, diag_s, out=j, where=pos)
+    return jp[1:-1, 1:-1].copy()
+
+
 class TestStepAndSegment:
     def _disk_scene(self, size=64, r=12, seed=0):
         rng = np.random.default_rng(seed)

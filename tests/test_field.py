@@ -93,6 +93,10 @@ class TestDivergence:
 
 
 class TestGaussianConvolve:
+    def test_deviation_whose_square_overflows_is_no_smoothing(self):
+        # the smallest positive variance: (t/sigma)**2 overflows off the centre
+        assert np.array_equal(field.gaussian_kernel(np.sqrt(5e-324)), [0.0, 1.0, 0.0])
+
     def test_constant_preserved(self):
         out = field.gaussian_convolve(np.full((9, 9), 4.2), 2.0)
         assert np.allclose(out, 4.2, atol=1e-12)

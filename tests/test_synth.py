@@ -116,6 +116,16 @@ class TestRender:
         img, truth = synth.render(spec)
         assert np.array_equal(truth, np.tile(np.arange(32) < 16, (32, 1)))
 
+    @pytest.mark.parametrize("axes", [(1e-300, 4.0), (4.0, 1e-300)])
+    def test_needle_ellipse_is_its_limit_segment(self, axes):
+        # the squares overflow off the long axis, where inf is the exact limit
+        spec = SceneSpec(width=32, height=32, shape=("ellipse", 15.0, 15.0, *axes, 0.0))
+        img, truth = synth.render(spec)
+        ys, xs = np.mgrid[0:32, 0:32]
+        # offsets across and along the degenerate axis
+        across, along = (xs - 15, ys - 15) if axes[0] < 1 else (ys - 15, xs - 15)
+        assert np.array_equal(truth, (across == 0) & (np.abs(along) < 4))
+
     def test_margin_enforced(self):
         with pytest.raises(ValueError, match="margin"):
             synth.render(SceneSpec(width=64, height=64, shape=("disk", 31.5, 31.5, 31.0)))
