@@ -134,15 +134,36 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         # the prior first, so its warp's temporaries are gone before the phi arrays exist
         pw = None if model is None else prior_field(model, state.lam, state.pose)
         f2w = energy.f2_weight(g, pw, w)
+        del pw
         phi = state.phi
         m, d, _, _ = _fields(state, "phi", energy.phi_terms, phi, g, w)
-        gx, gy = field.grad(phi)
-        dp = -2.0 * phi / (w.eps * w.eps) * d     # energy.dirac_eps_prime, from d
+        # each term in a buffer of its own, with the operations of the written-out
+        # formula in its order; m and d are the memo's and stay untouched
         # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
-        scale = (w.alpha * (m - 1.0) + f2w * d) / m
-        out = -field.divergence(scale * gx, scale * gy)
-        out += f2w * dp * m            # d(dirac(phi))/dphi in F2
-        out += -w.beta * g * d         # d(H_eps(-phi))/dphi in F3
+        scale = m - 1.0
+        scale *= w.alpha
+        t = f2w * d
+        scale += t
+        scale /= m
+        gx, gy = field.grad(phi)
+        gx *= scale
+        gy *= scale
+        del scale
+        out = field.divergence(gx, gy)
+        np.negative(out, out=out)
+        del gx, gy
+        # d(dirac(phi))/dphi in F2: f2w * dp * m, dp = -2*phi/eps^2 * dirac
+        # (energy.dirac_eps_prime, from d)
+        dp = -2.0 * phi
+        dp /= w.eps * w.eps
+        dp *= d
+        dp *= f2w
+        dp *= m
+        out += dp
+        # d(H_eps(-phi))/dphi in F3: -beta * g * dirac
+        np.multiply(g, -w.beta, out=t)
+        t *= d
+        out += t
     if not np.all(np.isfinite(out)):
         raise NumericalAbort("non-finite level-set gradient")
     return out
@@ -212,24 +233,40 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     is positive and the warm start elsewhere. Each half-sweep is an exact
     block coordinate minimization, so the objective never increases.
 
-    Every field lives on one raveled layout with a zero border and an odd row
-    pitch p = w + 3 - w % 2, pixel (y, x) at index (y + 1) * p + x + 1. An odd
-    pitch makes a pixel's colour (x + y) % 2 its index's parity, and its four
-    neighbours, at +-1 and +-p, the other parity; so each colour is one
-    stride-2 slice, and a sweep is two passes. An overflow is left for the
-    energy's finiteness check to report.
+    Only a pixel with diag > 0 ever changes, and it has a positive weight at
+    itself, its left or its upper neighbour; so the sweeps cover the box of
+    positive weights, extended by one pixel right and down, and read a
+    one-pixel ring around it that they never write. Box and ring live on one
+    raveled layout with zeros beyond the grid and an odd row pitch
+    p >= box width + 2, pixel (y, x) at index (y - y0 + 1) * p + x - x0 + 1 for
+    the box origin (y0, x0). An odd pitch makes a pixel's colour (x + y) % 2
+    its index's parity, flipped when x0 + y0 is odd, and its four neighbours,
+    at +-1 and +-p, the other parity; so each colour is one stride-2 slice,
+    and a sweep is two passes. An overflow is left for the energy's
+    finiteness check to report.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
     h, w = image.shape
-    p = w + 3 - w % 2
-    jp, wp, imp, inside = (np.pad(np.asarray(a, np.float64), ((1, 1), (1, p - w - 1))).ravel()
-                           for a in (warm, wgt, image, np.ones((h, w))))
-    # a pixel with diag > 0 has a positive weight at itself, its left or its upper
-    # neighbour, so the sweeps span [first, last + p] of the positive weights
-    live = np.flatnonzero(wp > 0)
-    a, last = (live[0], min(live[-1] + p, h * p + w)) if live.size else (0, -1)
-    del live
+    positive = np.asarray(wgt) > 0
+    rows, cols = np.flatnonzero(positive.any(axis=1)), np.flatnonzero(positive.any(axis=0))
+    del positive
+    if rows.size == 0:
+        return np.array(warm, dtype=np.float64)
+    # the box [y0, y1) x [x0, x1), and the part of it and its ring on the grid
+    y0, x0 = rows[0], cols[0]
+    y1, x1 = min(rows[-1] + 2, h), min(cols[-1] + 2, w)
+    bh, bw = y1 - y0, x1 - x0
+    p = bw + 3 - bw % 2
+    ya, yb, xa, xb = max(y0 - 1, 0), min(y1 + 1, h), max(x0 - 1, 0), min(x1 + 1, w)
+
+    def crop(a):
+        buf = np.zeros((bh + 2, p))
+        buf[ya - y0 + 1:yb - y0 + 1, xa - x0 + 1:xb - x0 + 1] = np.asarray(a)[ya:yb, xa:xb]
+        return buf.ravel()
+
+    jp, wp, imp, inside = map(crop, (warm, wgt, image, np.broadcast_to(1.0, (h, w))))
+    a, last = p + 1, bh * p + bw        # the box's first and last pixel
     n = (last - a) // 2 + 1     # per colour; an odd span gains one index, never written
 
     def at(buf, st, d=0):
@@ -237,16 +274,17 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 
     colours = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for st in (a + a % 2, a + 1 - a % 2):       # red (even indices), then black
+        for c in (0, 1):        # red ((x + y) even), then black
+            st = a + (a + x0 + y0 + c) % 2
             # the weights of the pixel, its left and its upper neighbour
             wg, wl, wu = (at(wp, st, d).copy() for d in (0, -1, -p))
             diag = wg + mu * (wg * (at(inside, st, 1) + at(inside, st, p)) + wl + wu)
-            # the pad after each row has diag > 0 through its left neighbour
+            # a pad beyond the grid's right edge has diag > 0 through its left neighbour
             pos = (diag > 0) & (at(inside, st) > 0)
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
             colours.append((views, wg * at(imp, st), wg, wl, wu, diag, pos))
-        # the sweeps read only the per-colour copies: free the padded inputs, then
+        # the sweeps read only the per-colour copies: free the cropped inputs, then
         # take two work arrays for the right-hand side, shared by both colours
         del wp, imp, inside
         rhs, t = np.empty((2, n))
@@ -259,7 +297,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             rhs *= mu
             rhs += wi
             np.divide(rhs, diag, out=j, where=pos)
-    return jp.reshape(h + 2, p)[1:-1, 1:w + 1].copy()
+    out = np.array(warm, dtype=np.float64)
+    out[y0:y1, x0:x1] = jp.reshape(bh + 2, p)[1:-1, 1:bw + 1]
+    return out
 
 
 def refresh_approximants(state: SegmentationState, image, model,

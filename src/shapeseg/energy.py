@@ -17,6 +17,7 @@ everywhere differentiable; the descent module differentiates exactly these
 discrete sums.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,9 @@ from . import field
 
 # smoothing floor for gradient magnitudes inside energies
 KAPPA = 1e-10
+# the smallest normal float64, below which dirac_eps flushes to 0, and its log
+_TINY = np.finfo(np.float64).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 @dataclass
@@ -80,24 +84,43 @@ def heaviside_eps(z, eps: float):
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    # z/eps may overflow to +-inf, where the sign below gives the exact limit
+    # z/eps may overflow to +-inf, where the clip below gives the exact limit
     with np.errstate(over="ignore"):
         s = np.asarray(z, dtype=np.float64) / eps
-    # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on a band only
-    e = np.sign(s, out=np.empty_like(s))
-    band = np.abs(s) < 6.0
+    # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on a band
+    # only, and beyond it s clipped to [-1, 1] is erf's value (NaN stays NaN);
+    # e is a 0-d array for a scalar z, and holds |s| until the band is known
+    e = np.abs(s, out=np.empty_like(s))
+    band = e < 6.0
+    np.clip(s, -1.0, 1.0, out=e)
     e[band] = erf(s[band])
-    return 0.5 * (1.0 + e)
+    e += 1.0
+    e *= 0.5
+    return e[()]    # a scalar for a scalar z
 
 
 def dirac_eps(z, eps: float):
-    """Smooth Dirac: exp(-(z/eps)^2) / (eps*sqrt(pi)); exact derivative of heaviside_eps."""
+    """Smooth Dirac: exp(-(z/eps)^2) / (eps*sqrt(pi)); exact derivative of heaviside_eps.
+
+    A result below the smallest normal float is flushed to exactly 0; every
+    other result, NaN included, is the formula's.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     # exp(-s^2) is exactly 0.0 from |s| = 28 on, so clipping s there changes
     # no value and keeps s^2 from overflowing when |z| is huge
-    s = np.clip(np.asarray(z, dtype=np.float64) / eps, -28.0, 28.0)
-    return np.exp(-(s * s)) / (eps * np.sqrt(np.pi))
+    s = np.asarray(np.clip(np.asarray(z, dtype=np.float64) / eps, -28.0, 28.0))
+    s *= s
+    # exp is slow where its result is subnormal, so it runs only up to a hair
+    # beyond the s^2 = -log(tiny*eps*sqrt(pi)) where the result leaves the
+    # normal range (and on NaN, which fails every comparison)
+    run = ~(s > -_LOG_TINY - math.log(eps) - 0.5 * math.log(math.pi) + 1e-6)
+    np.negative(s, out=s)
+    d = np.zeros_like(s)
+    np.exp(s, out=d, where=run)
+    d /= eps * np.sqrt(np.pi)
+    np.copyto(d, 0.0, where=d < _TINY)
+    return d[()]    # a scalar for a scalar z
 
 
 def dirac_eps_prime(z, eps: float):
@@ -108,8 +131,13 @@ def dirac_eps_prime(z, eps: float):
 
 def smooth_grad_magnitude(f: np.ndarray) -> np.ndarray:
     """|grad f| smoothed as sqrt(gx^2 + gy^2 + KAPPA^2)."""
-    gx, gy = field.grad(f)
-    return np.sqrt(gx * gx + gy * gy + KAPPA * KAPPA)
+    gx, gy = field.grad(np.asarray(f, dtype=np.float64))
+    # in gx's buffer; grad's arrays are fresh, so nothing else holds them
+    gx *= gx
+    gy *= gy
+    gx += gy
+    gx += KAPPA * KAPPA
+    return np.sqrt(gx, out=gx)
 
 
 def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
@@ -144,7 +172,9 @@ def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
     """Edge-weighted area of the interior: sum of g * H_eps(-phi)."""
     if phi.shape != g.shape:
         raise ValueError("field dimensions differ")
-    return float(np.sum(g * heaviside_eps(-phi, w.eps)))
+    h = heaviside_eps(-phi, w.eps)
+    h *= g
+    return float(np.sum(h))
 
 
 def curve_length(phi: np.ndarray, eps: float) -> float:
@@ -156,8 +186,16 @@ def curve_length(phi: np.ndarray, eps: float) -> float:
 
 def smooth_fit(image: np.ndarray, j: np.ndarray, mu: float) -> np.ndarray:
     """Per-pixel fit of an approximant J to the image: (I - J)^2 + mu*|grad J|^2."""
-    gx, gy = field.grad(j)
-    return (image - j) ** 2 + mu * (gx * gx + gy * gy)
+    gx, gy = field.grad(np.asarray(j, dtype=np.float64))
+    # in the buffers of image - j and gx, float even for integer fields
+    fit = np.subtract(image, j, dtype=np.float64)
+    fit *= fit
+    gx *= gx
+    gy *= gy
+    gx += gy
+    gx *= mu
+    fit += gx
+    return fit
 
 
 def fit_terms(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
@@ -175,7 +213,9 @@ def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
     """
     d = dirac_eps(phi, w.eps)
     m = smooth_grad_magnitude(phi)
-    return m, d, float(np.sum((m - 1.0) ** 2)), energy_f3(phi, g, w)
+    dev = m - 1.0
+    dev *= dev
+    return m, d, float(np.sum(dev)), energy_f3(phi, g, w)
 
 
 def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
@@ -189,7 +229,11 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
     the prior-free reduction, and ``fits`` is then unused.
     """
     m, d, f1, f3 = phi_t
-    f2 = float(np.sum(f2_weight(g, prior_warped, w) * d * m))
+    # f2_weight's array is fresh; d and m may be the memo's and stay untouched
+    f2w = f2_weight(g, prior_warped, w)
+    f2w *= d
+    f2w *= m
+    f2 = float(np.sum(f2w))
     f4 = 0.0
     if prior_warped is not None:
         fit_in, fit_out = fits

@@ -45,10 +45,12 @@ def grad(f: np.ndarray):
     (gx, gy) : pair of arrays with the same shape as ``f``.
     """
     _check_differentiable(f)
-    gx = np.zeros_like(f)
-    gy = np.zeros_like(f)
-    gx[:, :-1] = f[:, 1:] - f[:, :-1]
-    gy[:-1, :] = f[1:, :] - f[:-1, :]
+    gx = np.empty_like(f)
+    gy = np.empty_like(f)
+    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    np.subtract(f[1:], f[:-1], out=gy[:-1])
+    gx[:, -1] = 0
+    gy[-1] = 0
     return gx, gy
 
 
@@ -121,14 +123,19 @@ def bilinear_geometry(shape, x, y):
     """
     h, w = shape
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    beyond = ~((x >= 0) & (x <= w - 1) & (y >= 0) & (y <= h - 1))
     # fx, fy start as clamped copies of x, y and x0, y0 as the corners, on
-    # floats; + 0.0 turns floor(-0.0) into 0.0, so a sample at x = -0.0 keeps
+    # floats, each in its own buffer (0-d for one sample); a coordinate is
+    # beyond the domain if clamping moved it, or if it is NaN
+    fx, fy, x0, y0 = (np.empty(x.shape) for _ in range(4))
+    np.clip(x, 0, w - 1, out=fx)
+    np.clip(y, 0, h - 1, out=fy)
+    beyond = fx != x
+    beyond |= fy != y
+    # fmin sends a NaN corner to the last one, so every index is in range; + 0.0
+    # turns floor(-0.0) into 0.0, so a sample at x = -0.0 keeps
     # fx = -0.0 - 0.0 = -0.0, as with integer corners
-    fx = np.clip(x, 0, w - 1)
-    fy = np.clip(y, 0, h - 1)
-    x0 = np.minimum(np.floor(fx), max(w - 2, 0))
-    y0 = np.minimum(np.floor(fy), max(h - 2, 0))
+    np.fmin(np.floor(fx, out=x0), max(w - 2, 0), out=x0)
+    np.fmin(np.floor(fy, out=y0), max(h - 2, 0), out=y0)
     x0 += 0.0
     y0 += 0.0
     fx -= x0

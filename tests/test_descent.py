@@ -349,6 +349,58 @@ class TestSolverMatchesSublatticeReference:
                 want = _sublattice_reference(img, wgt, mu, sweeps, warm)
                 assert got.tobytes() == want.tobytes() and got is not warm
 
+    # (shape, box of positive weights as (row, column) slices): boxes on each
+    # edge and in each corner, one-pixel boxes, the whole grid, and box origins
+    # of both colours ((row + column) % 2 of the first pixel)
+    CROP_BOXES = [
+        *[(shape, box) for shape in ((12, 13), (13, 12)) for box in (
+            (slice(0, 4), slice(3, 8)), (slice(None, -4), slice(None, 5)),
+            (slice(-5, None), slice(3, 9)), (slice(3, 8), slice(-4, None)),
+            (slice(0, 4), slice(0, 5)), (slice(0, 5), slice(-6, None)),
+            (slice(-4, None), slice(0, 4)), (slice(-5, None), slice(-5, None)),
+            (slice(2, 7), slice(3, 9)), (slice(2, 7), slice(4, 9)),
+            (slice(3, 9), slice(3, 10)), (slice(3, 9), slice(4, 10)),
+            (slice(None), slice(None)))],
+        *[((9, 8), (slice(y, y + 1), slice(x, x + 1)))
+          for y, x in ((0, 0), (0, 7), (8, 0), (8, 7), (4, 4), (4, 5), (0, 3), (5, 0))],
+        ((1, 1), (slice(None), slice(None))),
+        ((1, 9), (slice(0, 1), slice(3, 4))),
+        ((9, 1), (slice(4, 5), slice(0, 1))),
+    ]
+
+    @pytest.mark.parametrize("shape,box", CROP_BOXES)
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("outside", [0.0, -0.3], ids=["zero", "negative"])
+    def test_weight_boxes(self, shape, box, mu, outside):
+        # zeros inside the box too, and beyond it a zero or a negative weight,
+        # which the solver still reads through its box's ring
+        rng = np.random.default_rng(shape[0] * 7 + shape[1] + 3 * (box[0].start or 0)
+                                    + (box[1].start or 0))
+        img = rng.uniform(0, 255, size=shape)
+        warm = rng.normal(100, 50, size=shape)
+        wgt = np.full(shape, outside)
+        wgt[box] = rng.uniform(0.05, 1.0, size=wgt[box].shape)
+        wgt[box][rng.uniform(size=wgt[box].shape) < 0.2] = 0.0
+        wgt[box][0, 0] = 0.5                    # the box is exactly the positive weights'
+        wgt[box][-1, -1] = 0.5
+        for sweeps in (0, 1, 20):
+            got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
+            want = _sublattice_reference(img, wgt, mu, sweeps, warm)
+            assert got.tobytes() == want.tobytes() and got is not warm
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 7), (12, 13)])
+    @pytest.mark.parametrize("outside", [0.0, -0.3], ids=["zero", "negative"])
+    def test_no_positive_weight_returns_a_copy_of_the_warm_start(self, shape, outside):
+        rng = np.random.default_rng(11)
+        img = rng.uniform(0, 255, size=shape)
+        warm = rng.normal(100, 50, size=shape)
+        wgt = np.full(shape, outside)
+        for sweeps in (0, 20):
+            got = descent.solve_smooth_approximant(img, wgt, 0.37, sweeps, warm)
+            want = _sublattice_reference(img, wgt, 0.37, sweeps, warm)
+            assert got.tobytes() == want.tobytes() == warm.tobytes()
+            assert not np.shares_memory(got, warm)
+
     def test_integer_inputs_give_a_fresh_float_array(self):
         img = np.arange(35).reshape(5, 7) * 3
         warm = np.full((5, 7), 40)
@@ -727,6 +779,64 @@ class TestKernelsLeaveInputsUntouched:
         for _ in range(2):   # a fresh geometry, then the kept one
             shape_prior.warp(g, Pose(1.05, 0.1, 0.4, -0.3), 99.0)
             assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
+
+
+@st.composite
+def _field_and_coords(draw):
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    f = np.array(draw(st.lists(values, min_size=h * w, max_size=h * w))).reshape(h, w)
+    v = np.array(draw(st.lists(values, min_size=h * w, max_size=h * w))).reshape(h, w)
+    # coordinates inside, on and beyond the grid, and NaN
+    coord = st.floats(-3, max(h, w) + 2) | st.sampled_from([0.0, -0.0, w - 1.0, np.nan])
+    x = np.array(draw(st.lists(coord, min_size=h * w, max_size=h * w))).reshape(h, w)
+    y = np.array(draw(st.lists(coord, min_size=h * w, max_size=h * w))).reshape(h, w)
+    return f, v, x, y
+
+
+class TestInPlaceKernelsStayPure:
+    """The kernels that work in their own buffers change no input and return no view of one."""
+
+    @staticmethod
+    def _arrays(obj):
+        if isinstance(obj, np.ndarray):
+            return [obj]
+        return [a for o in obj for a in TestInPlaceKernelsStayPure._arrays(o)] \
+            if isinstance(obj, (tuple, list)) else []
+
+    @settings(max_examples=60, deadline=None)
+    @given(_field_and_coords())
+    def test_random_fields(self, case):
+        f, v, x, y = case
+        geometry = field.bilinear_geometry(f.shape, x, y)
+        calls = [(field.grad, (f,)), (field.divergence, (f, v)),
+                 (energy.smooth_grad_magnitude, (f,)), (energy.heaviside_eps, (f, 1.5)),
+                 (energy.dirac_eps, (f, 1.5)), (energy.dirac_eps, (f, 0.1)),
+                 (field.bilinear_geometry, (f.shape, x, y)),
+                 (field.bilinear_gather, (f, geometry, -7.25))]
+        for kernel, args in calls:
+            inputs = self._arrays(args)
+            before = [a.tobytes() for a in inputs]
+            outputs = self._arrays(kernel(*args))
+            assert [a.tobytes() for a in inputs] == before, kernel.__name__
+            assert not any(np.shares_memory(o, i) for o in outputs for i in inputs), \
+                kernel.__name__
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_step_leaves_the_memo_arrays_alone(self, disk_model, with_model):
+        w = EnergyWeights(gamma=0.05)
+        img = field.gaussian_convolve(
+            np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
+        g = energy.edge_indicator(img, w.eta, w.sigma)
+        model = disk_model if with_model else None
+        state = replace(descent.init_state(img, model, w), phi=smooth_phi(48, 48), _memo={})
+        for _ in range(2):
+            descent.evaluate(state, img, g, model, w)     # fills the memo
+            held = self._arrays([entry for entry in state._memo.values()])
+            assert len(held) == (9 if with_model else 4)     # inputs and fields
+            before = [a.tobytes() for a in held]
+            state = descent.step(state, img, g, model, w, DescentConfig())
+            assert [a.tobytes() for a in held] == before
 
 
 def _segment_memo_free(image, model, w, cfg):

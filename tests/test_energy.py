@@ -103,6 +103,35 @@ class TestHeavisideDirac:
             assert got.tobytes() == want.tobytes()
             assert energy.dirac_eps(1e300, eps) == 0.0 and not recwarn.list
 
+    @staticmethod
+    def _dirac_unflushed(z, eps):
+        # the formula before the flush, subnormal results and all
+        s = np.clip(np.asarray(z, dtype=np.float64) / eps, -28.0, 28.0)
+        return np.exp(-(s * s)) / (eps * np.sqrt(np.pi))
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 1 / np.sqrt(np.pi), 1.0, 1.5, 7.0, 1e150])
+    def test_dirac_flushes_subnormal_results_only(self, eps, recwarn):
+        # s^2 = (z/eps)^2 across the band where the result leaves the normal
+        # range, both signs, with NaN, infinities, zeros and ordinary arguments
+        edge = -np.log(np.finfo(np.float64).tiny * eps * np.sqrt(np.pi))
+        band = eps * np.sqrt(np.linspace(edge - 20.0, min(edge + 40.0, 784.0), 20001))
+        z = np.concatenate([band, -band, [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e300, 3.7, -0.2]])
+        got = energy.dirac_eps(z, eps)
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        want = self._dirac_unflushed(z, eps)
+        tiny = np.finfo(np.float64).tiny
+        flushed = want < tiny
+        assert np.any(flushed & (want > 0))     # the band has subnormal results
+        assert got[flushed].tobytes() == np.zeros(np.count_nonzero(flushed)).tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(z))
+        assert got[~flushed].tobytes() == want[~flushed].tobytes()
+        # one argument at a time, as a float and as a 0-d array: a scalar comes back
+        for zi, wi in zip(z[::97], want[::97]):
+            for arg in (float(zi), np.array(zi)):
+                one = energy.dirac_eps(arg, eps)
+                assert isinstance(one, np.float64)
+                assert one.tobytes() == (np.float64(0.0) if wi < tiny else wi).tobytes()
+
     def test_dirac_unit_mass(self):
         eps = 1.5
         z = np.arange(-50 * eps, 50 * eps + eps / 200, eps / 100)

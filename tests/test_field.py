@@ -1,4 +1,9 @@
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,6 +229,40 @@ class TestBilinearReference:
         y = 0.3 * xs + 1.07 * ys - 1.1
         got = field.bilinear_sample(f, x, y, 9.0)
         assert got.tobytes() == bilinear_reference(f, x, y, 9.0).tobytes()
+
+
+class TestBilinearNan:
+    # a NaN coordinate once became an INT_MIN index, which take(mode="wrap")
+    # wraps one step at a time: the call never returned, so it runs in a child
+    def test_nan_coordinate_is_outside_at_once_and_silently(self):
+        code = textwrap.dedent("""
+            import numpy as np
+            from shapeseg import field
+            f = np.arange(12.0).reshape(3, 4)
+            nan = float("nan")
+            print(field.bilinear_sample(f, nan, 0.0, -7.25))
+            print(field.bilinear_sample(f, 1.0, nan, -7.25))
+            print(field.bilinear_sample(f, nan, nan, -7.25))
+            print(field.bilinear_sample(f, np.array([nan, 1.5]), np.array([0.5, nan]), -7.25))
+        """)
+        src = str(Path(field.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split("\n") == ["-7.25"] * 3 + ["[-7.25 -7.25]", ""]
+
+    @settings(max_examples=200, deadline=None)
+    @given(field_and_points(), st.data())
+    def test_nan_leaves_finite_samples_bit_identical(self, case, data):
+        f, x, y = case
+        nan_x = np.array(data.draw(st.lists(st.booleans(), min_size=len(x), max_size=len(x))))
+        nan_y = np.array(data.draw(st.lists(st.booleans(), min_size=len(x), max_size=len(x))))
+        xn, yn = np.where(nan_x, np.nan, x), np.where(nan_y, np.nan, y)
+        got = field.bilinear_sample(f, xn, yn, -7.25)
+        finite = ~(nan_x | nan_y)
+        assert np.all(got[~finite] == -7.25)
+        assert got[finite].tobytes() == bilinear_reference(f, x, y, -7.25)[finite].tobytes()
 
 
 class TestTotalVariation:
