@@ -354,7 +354,8 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
 def default_init_phi(shape) -> np.ndarray:
     """Exact SDF of a centered circle with radius min(width, height)/4."""
     h, w = shape
-    ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)
     r = min(w, h) / 4.0
     return np.sqrt((xs - (w - 1) / 2.0) ** 2 + (ys - (h - 1) / 2.0) ** 2) - r
 

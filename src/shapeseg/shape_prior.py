@@ -40,11 +40,22 @@ def sdf_from_mask(m) -> np.ndarray:
     The zero level set sits halfway between adjacent inside/outside pixels
     (half-pixel offset off the exact nearest-opposite-pixel distance), so
     complementing the mask exactly negates the result.
+
+    The inside pixels' transform runs only on the inside's bounding box grown
+    by one pixel (clipped to the grid). That is exact: an outside pixel beyond
+    the box, clamped onto it, lands on the grown ring, which is outside and no
+    farther from any inside pixel.
     """
     m = as_mask(m)
-    d_out = ndimage.distance_transform_edt(~m) - 0.5   # distance for outside pixels
-    d_in = ndimage.distance_transform_edt(m) - 0.5     # distance for inside pixels
-    return np.where(m, -d_in, d_out)
+    sdf = ndimage.distance_transform_edt(~m)   # distance for outside pixels
+    sdf -= 0.5
+    rows, cols = np.flatnonzero(m.any(axis=1)), np.flatnonzero(m.any(axis=0))
+    box = (slice(max(rows[0] - 1, 0), rows[-1] + 2), slice(max(cols[0] - 1, 0), cols[-1] + 2))
+    inside = m[box]
+    d_in = ndimage.distance_transform_edt(inside)   # distance for inside pixels
+    d_in -= 0.5
+    np.negative(d_in, out=sdf[box], where=inside)
+    return sdf
 
 
 @dataclass

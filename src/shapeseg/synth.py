@@ -12,6 +12,7 @@ pairs of uniforms feed a Box-Muller transform for Gaussian samples.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,6 +80,9 @@ class SceneSpec:
     occlusion: Optional[tuple] = None
 
     def __post_init__(self):
+        # a float size would pass the bound below and fail later inside np.zeros
+        if not all(isinstance(n, numbers.Integral) for n in (self.width, self.height)):
+            raise ValueError("width and height must be integers")
         if not (1 <= self.width and 1 <= self.height):
             raise ValueError("width and height must be >= 1")
         if not (math.isfinite(self.fg) and math.isfinite(self.bg)):
@@ -100,7 +104,10 @@ class SceneSpec:
 
 
 def _shape_mask(spec: SceneSpec) -> np.ndarray:
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    # a y column and an x row, broadcast to the grid: each pixel sees the
+    # same float operands as on full coordinate grids, which are never built
+    ys = np.arange(spec.height, dtype=np.float64)[:, None]
+    xs = np.arange(spec.width, dtype=np.float64)
     kind = spec.shape[0]
     if kind == "disk":
         _, cx, cy, r = spec.shape
@@ -136,7 +143,8 @@ def _occlusion_mask(spec: SceneSpec) -> np.ndarray:
     occ = np.zeros((spec.height, spec.width), dtype=bool)
     if spec.occlusion is None:
         return occ
-    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    ys = np.arange(spec.height, dtype=np.float64)[:, None]
+    xs = np.arange(spec.width, dtype=np.float64)
     kind = spec.occlusion[0]
     if kind == "arc":
         if spec.shape[0] not in ("disk", "ellipse"):    # the arc is centred on the shape
@@ -157,7 +165,7 @@ def render(spec: SceneSpec):
     """Render (image, truth_mask); the truth is the un-occluded geometry."""
     truth = _shape_mask(spec)
     visible = truth & ~_occlusion_mask(spec)
-    image = np.where(visible, spec.fg, spec.bg).astype(np.float64)
+    image = np.where(visible, spec.fg, spec.bg).astype(np.float64, copy=False)
     if spec.noise_std > 0:
         noise = gaussian_noise(spec.noise_seed, image.size).reshape(image.shape)
         with np.errstate(over="ignore"):

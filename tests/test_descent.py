@@ -916,6 +916,17 @@ class TestInitState:
         row = phi[31]
         assert row[39 + 15] < 0 < row[39 + 17]
 
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 37), (37, 1), (2, 2), (64, 80),
+                                       (80, 64), (31, 17), (128, 128)])
+    def test_default_phi_matches_full_grid_reference(self, shape):
+        # the same formula on full np.mgrid coordinate grids, byte for byte
+        h, w = shape
+        ys, xs = np.mgrid[0:h, 0:w].astype(np.float64)
+        want = np.sqrt((xs - (w - 1) / 2.0) ** 2 + (ys - (h - 1) / 2.0) ** 2) - min(w, h) / 4.0
+        got = descent.default_init_phi(shape)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_region_means(self, disk_model):
         img = np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0)
         st = descent.init_state(img, disk_model, W)

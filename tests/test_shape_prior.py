@@ -2,13 +2,29 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeseg import field, shape_prior, synth
 from shapeseg.shape_prior import Pose
 
 from conftest import disk_mask, grid
+
+
+def nearest_opposite_sdf(m):
+    """Exact distance to the nearest opposite pixel, minus the half pixel, negative inside."""
+    ys, xs = (a.ravel() for a in np.indices(m.shape))
+    inside = m.ravel()
+    d2 = (ys[:, None] - ys) ** 2 + (xs[:, None] - xs) ** 2
+    d2[inside[:, None] == inside] = np.iinfo(d2.dtype).max
+    d = np.sqrt(d2.min(axis=1).astype(np.float64)) - 0.5
+    return np.where(inside, -d, d).reshape(m.shape)
+
+
+def box_mask(h, w, y0, x0, y1, x1):
+    m = np.zeros((h, w), dtype=bool)
+    m[y0:y1, x0:x1] = True
+    return m
 
 
 def ellipse_sdfs(n=10, a_range=(12, 30), b=18, size=128):
@@ -54,19 +70,44 @@ class TestSdfFromMask:
         with pytest.raises(ValueError):
             shape_prior.sdf_from_mask(np.zeros((8, 8), dtype=bool))
 
-    @settings(max_examples=200, deadline=None)
-    @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12)))
-           .filter(lambda m: m.any() and not m.all()))
-    def test_matches_brute_force(self, m):
-        # exact distance to the nearest opposite pixel, minus the half pixel
-        ys, xs = np.indices(m.shape)
-        want = np.empty(m.shape)
-        for y, x in np.ndindex(m.shape):
-            opp = m != m[y, x]
-            d2 = np.min((ys[opp] - y) ** 2 + (xs[opp] - x) ** 2)
-            d = np.sqrt(float(d2)) - 0.5
-            want[y, x] = -d if m[y, x] else d
-        assert np.array_equal(shape_prior.sdf_from_mask(m), want)
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force(self, data):
+        # a random blob on a random sub-box of the grid (the whole grid included),
+        # so the inside's box is often a real crop
+        h, w = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        bh, bw = data.draw(st.integers(1, h)), data.draw(st.integers(1, w))
+        y0, x0 = data.draw(st.integers(0, h - bh)), data.draw(st.integers(0, w - bw))
+        m = np.zeros((h, w), dtype=bool)
+        m[y0:y0 + bh, x0:x0 + bw] = data.draw(arrays(bool, (bh, bw)))
+        assume(m.any() and not m.all())
+        assert np.array_equal(shape_prior.sdf_from_mask(m), nearest_opposite_sdf(m))
+
+    @pytest.mark.parametrize("m", [
+        # the inside's box touching one edge
+        box_mask(23, 31, 0, 4, 12, 9), box_mask(23, 31, 5, 4, 23, 9),
+        box_mask(23, 31, 6, 0, 11, 7), box_mask(23, 31, 6, 20, 11, 31),
+        # and one corner
+        box_mask(23, 31, 0, 0, 5, 9), box_mask(23, 31, 0, 24, 8, 31),
+        box_mask(23, 31, 17, 0, 23, 3), box_mask(23, 31, 20, 29, 23, 31),
+        # a box that is the whole grid: a frame, a cross, and everything but one pixel
+        ~box_mask(24, 24, 3, 3, 21, 21),
+        box_mask(19, 26, 8, 0, 11, 26) | box_mask(19, 26, 0, 12, 19, 14),
+        ~box_mask(17, 29, 9, 14, 10, 15),
+        # holes, one of them a single pixel
+        disk_mask(32, 32, 15.5, 15.5, 11) & ~disk_mask(32, 32, 15.5, 15.5, 4),
+        box_mask(20, 22, 3, 4, 16, 17) & ~box_mask(20, 22, 9, 9, 10, 10),
+        # two components in opposite corners
+        box_mask(30, 30, 0, 0, 4, 6) | box_mask(30, 30, 25, 23, 30, 30),
+        box_mask(27, 35, 0, 30, 3, 35) | box_mask(27, 35, 24, 0, 27, 2),
+        # 1 x N and N x 1 grids
+        box_mask(1, 37, 0, 10, 1, 17), box_mask(1, 37, 0, 0, 1, 36),
+        box_mask(1, 37, 0, 1, 1, 37), box_mask(37, 1, 20, 0, 33, 1),
+        box_mask(37, 1, 0, 0, 1, 1), box_mask(37, 1, 2, 0, 37, 1),
+    ], ids=lambda m: "x".join(map(str, m.shape)))
+    def test_matches_brute_force_on_crop_cases(self, m):
+        assert np.array_equal(shape_prior.sdf_from_mask(m), nearest_opposite_sdf(m))
+        assert np.array_equal(shape_prior.sdf_from_mask(~m), -nearest_opposite_sdf(m))
 
 
 class TestBuildShapeModel:

@@ -10,6 +10,80 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+# reference scene rendering on full np.mgrid coordinate grids; synth builds the
+# same masks from a broadcast row and column, which must not move a bit
+
+
+def reference_shape_mask(spec):
+    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    kind = spec.shape[0]
+    if kind == "disk":
+        _, cx, cy, r = spec.shape
+        synth._check_margin(cx - r, cy - r, cx + r, cy + r, spec)
+        return (xs - cx) ** 2 + (ys - cy) ** 2 < r * r
+    if kind == "ellipse":
+        _, cx, cy, a, b, angle = spec.shape
+        ext = max(a, b)
+        synth._check_margin(cx - ext, cy - ext, cx + ext, cy + ext, spec)
+        ct, st_ = np.cos(angle), np.sin(angle)
+        u = (xs - cx) * ct + (ys - cy) * st_
+        v = -(xs - cx) * st_ + (ys - cy) * ct
+        with np.errstate(over="ignore"):
+            return (u / a) ** 2 + (v / b) ** 2 < 1.0
+    _, nx, ny, offset = spec.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = nx * xs + ny * ys
+    if np.isnan(side).any():
+        raise ValueError("halfplane normal overflows on the grid")
+    return side < offset
+
+
+def reference_occlusion_mask(spec):
+    if spec.occlusion is None:
+        return np.zeros((spec.height, spec.width), dtype=bool)
+    ys, xs = np.mgrid[0 : spec.height, 0 : spec.width].astype(np.float64)
+    if spec.occlusion[0] == "arc":
+        if spec.shape[0] not in ("disk", "ellipse"):
+            raise ValueError(f"an arc occlusion needs a disk or ellipse, not a {spec.shape[0]}")
+        _, t0, t1 = spec.occlusion
+        cx, cy = spec.shape[1], spec.shape[2]
+        ang = np.arctan2(ys - cy, xs - cx)
+        return (ang - t0) % (2 * np.pi) < (t1 - t0) % (2 * np.pi)
+    _, x0, y0, x1, y1 = spec.occlusion
+    return (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
+
+
+def reference_render(spec):
+    truth = reference_shape_mask(spec)
+    visible = truth & ~reference_occlusion_mask(spec)
+    image = np.where(visible, spec.fg, spec.bg).astype(np.float64)
+    if spec.noise_std > 0:
+        noise = synth.gaussian_noise(spec.noise_seed, image.size).reshape(image.shape)
+        with np.errstate(over="ignore"):
+            image = image + spec.noise_std * noise
+        if not np.isfinite(image).all():
+            raise ValueError("noise_std overflows the image")
+    return image, truth
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the ValueError it raised, as something ``==`` can compare."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def assert_same_render(spec):
+    got, want = outcome(synth.render, spec), outcome(reference_render, spec)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for g, r in zip(got, want):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
 class TestSplitmix64:
     def test_reference_stream_seed_zero(self):
         # published splitmix64 outputs for seed 0, mapped to [0,1) doubles
@@ -144,6 +218,89 @@ class TestRender:
             synth.render(SceneSpec(occlusion=("stripe", 0.0)))
 
 
+SHAPES = {
+    "disk": ("disk", 20.3, 13.7, 9.2),
+    "ellipse": ("ellipse", 19.6, 14.2, 11.5, 6.25, 0.7),
+    "halfplane": ("halfplane", 0.6, -0.8, 3.3),
+}
+OCCLUSIONS = {
+    "none": None,
+    "arc": ("arc", -0.4, 1.9),
+    "box": ("box", 7.5, -2.0, 18.0, 11.25),
+}
+
+
+class TestRenderMatchesReference:
+    @pytest.mark.parametrize("noise_std", [0.0, 6.5])
+    @pytest.mark.parametrize("occlusion", OCCLUSIONS)
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_shape_and_occlusion(self, shape, occlusion, noise_std):
+        assert_same_render(SceneSpec(width=41, height=30, shape=SHAPES[shape],
+                                     occlusion=OCCLUSIONS[occlusion],
+                                     noise_std=noise_std, noise_seed=17))
+
+    @pytest.mark.parametrize("occlusion", [("arc", -np.pi / 4, np.pi / 2), ("arc", np.pi, 0.0),
+                                           ("box", 12.0, 9.0, 18.0, 14.0)])
+    @pytest.mark.parametrize("shape", [("disk", 15.0, 12.0, 5.0),
+                                       ("ellipse", 15.0, 12.0, 5.0, 4.0, np.pi / 2)])
+    def test_pixels_on_the_boundaries(self, shape, occlusion):
+        # pixel centres on the circle (3-4-5 offsets), the wedge's rays and the box's edges
+        assert_same_render(SceneSpec(width=31, height=26, shape=shape, occlusion=occlusion))
+
+    @pytest.mark.parametrize("axes", [(1e-300, 4.0), (4.0, 1e-300), (1e-160, 7.0)])
+    @pytest.mark.parametrize("angle", [0.0, 0.3, np.pi / 2])
+    def test_needle_ellipse(self, axes, angle):
+        assert_same_render(SceneSpec(width=32, height=27, shape=("ellipse", 15.0, 13.0,
+                                                                 *axes, angle)))
+
+    @pytest.mark.parametrize("shape", [
+        ("halfplane", 1e308, 1e308, 0.0),       # most sides overflow to +inf
+        ("halfplane", 1e308, -1e308, 0.0),      # inf - inf: rejected
+        ("halfplane", -1e308, 0.0, -1e300),     # -inf sides, all but the first column
+        ("halfplane", 3e307, 2e307, 1e308),
+    ])
+    def test_overflowing_halfplane(self, shape):
+        assert_same_render(SceneSpec(width=19, height=23, shape=shape))
+
+    @pytest.mark.parametrize("width, height", [(1, 37), (37, 1), (1, 1), (53, 20), (20, 53)])
+    @pytest.mark.parametrize("occlusion", OCCLUSIONS)
+    @pytest.mark.parametrize("noise_std", [0.0, 3.0])
+    def test_thin_and_non_square_grids(self, width, height, occlusion, noise_std):
+        for shape in (("halfplane", 0.3, 0.7, 5.1), ("disk", 9.5, 9.75, 6.0),
+                      ("ellipse", 10.0, 9.0, 6.5, 4.0, -1.1)):
+            assert_same_render(SceneSpec(width=width, height=height, shape=shape,
+                                         occlusion=OCCLUSIONS[occlusion],
+                                         noise_std=noise_std, noise_seed=3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_scenes(self, data):
+        w, h = data.draw(st.integers(1, 48)), data.draw(st.integers(1, 48))
+        coord = st.floats(-10.0, 60.0)
+        shape = data.draw(st.one_of(
+            st.tuples(st.just("disk"), coord, coord, st.floats(0.1, 25.0)),
+            st.tuples(st.just("ellipse"), coord, coord, st.floats(0.1, 25.0),
+                      st.floats(0.1, 25.0), st.floats(-7.0, 7.0)),
+            st.tuples(st.just("halfplane"), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                      st.floats(-100.0, 100.0))))
+        occlusion = data.draw(st.none() | st.tuples(st.just("arc"), *[st.floats(-7.0, 7.0)] * 2)
+                              | st.tuples(st.just("box"), *[coord] * 4))
+        noise = data.draw(st.sampled_from([0.0, 4.0]))
+        assert_same_render(SceneSpec(width=w, height=h, shape=shape, occlusion=occlusion,
+                                     noise_std=noise, noise_seed=data.draw(st.integers(0, 99)),
+                                     fg=data.draw(st.sampled_from([200.0, 7, -3.5]))))
+
+    @pytest.mark.parametrize("width, height", [(96, 96), (61, 40), (40, 61)])
+    def test_ellipse_training_set(self, width, height):
+        got = synth.ellipse_training_set(6, (6, 14), (5, 12.5), width, height)
+        cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+        for m, a, b in zip(got, np.linspace(6, 14, 6), np.linspace(5, 12.5, 6)):
+            spec = SceneSpec(width=width, height=height,
+                             shape=("ellipse", cx, cy, float(a), float(b), 0.0))
+            want = reference_shape_mask(spec)
+            assert m.dtype == want.dtype and m.tobytes() == want.tobytes()
+
+
 class TestSceneValidation:
     @pytest.mark.parametrize("kw", [
         dict(fg=np.nan), dict(bg=np.inf), dict(fg=-np.inf),
@@ -171,6 +328,19 @@ class TestSceneValidation:
     def test_degenerate_geometry_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
             SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+
+    @pytest.mark.parametrize("size", [dict(width=32.0), dict(height=32.5),
+                                      dict(width=np.float64(40.0)), dict(height=31.999)])
+    def test_non_integer_size_rejected(self, size):
+        # render would otherwise fail with a bare TypeError inside np.zeros
+        with pytest.raises(ValueError, match="width and height must be integers"):
+            SceneSpec(**{"width": 32, "height": 32, "shape": ("halfplane", 1.0, 0.0, 5.0),
+                         **size})
+
+    def test_numpy_integer_size_accepted(self):
+        spec = SceneSpec(width=np.int64(24), height=np.uint8(20),
+                         shape=("halfplane", 1.0, 0.0, 5.0))
+        assert synth.render(spec)[0].shape == (20, 24)
 
     def test_numpy_scalar_axis_beside_a_huge_one(self):
         # compared in float32, 1e300 would overflow in a cast
