@@ -21,8 +21,8 @@ spec = synth.SceneSpec(width=128, height=128, shape=("disk", 63.5, 63.5, 20.0),
 image, truth = synth.render(spec)
 
 # The prior: disks of nearby radii. Two modes are plenty for this family.
-masks = [synth._shape_mask(synth.SceneSpec(width=128, height=128,
-                                           shape=("disk", 63.5, 63.5, float(r))))
+masks = [synth.truth_mask(synth.SceneSpec(width=128, height=128,
+                                          shape=("disk", 63.5, 63.5, float(r))))
          for r in (14, 16, 18, 20, 22, 24, 26)]
 model = shape_prior.build_shape_model(
     [shape_prior.sdf_from_mask(m) for m in masks], p=2)

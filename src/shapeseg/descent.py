@@ -7,7 +7,9 @@ tight tolerance. Shape and pose gradients use central finite differences
 over the p + 4 scalars, 2(p + 4) full energy evaluations, about half of a
 model step. The smooth approximants I_in/I_out are refreshed each
 outer iteration by red-black Gauss-Seidel sweeps on their weighted
-screened-Poisson normal equations.
+screened-Poisson normal equations, a strictly convex quadratic whose
+floating-point fixed point warm starts soon reach: a solve stops once a
+sweep changes no bit of its iterate.
 
 Each outer step is: refresh approximants, projected parameter step, CFL-capped
 explicit Euler step on phi, then per-group backtracking (halve once and retry;
@@ -33,7 +35,7 @@ class NumericalAbort(RuntimeError):
 STEP_LAMBDA = 0.5
 STEP_POSE = 2e-3
 FD_H = 1e-3
-# Gauss-Seidel sweeps per approximant refresh in ``step``
+# Gauss-Seidel sweeps per approximant refresh in ``step``, at most
 SWEEPS = 20
 
 
@@ -244,9 +246,22 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     at +-1 and +-p, the other parity; so each colour is one stride-2 slice,
     and a sweep is two passes. An overflow is left for the energy's
     finiteness check to report.
+
+    ``sweeps`` is an upper bound: a sweep is a deterministic function of the
+    iterate, so once one leaves it bit for bit unchanged, every later one
+    would too, and the solve returns. Red reads only black and black only
+    red, so it is enough that a sweep leaves black's bytes as they were
+    (then the next red half, and with it the next black half, repeat this
+    one's). The bytes are compared, so -0.0 against 0.0 and a changed NaN
+    payload count as changes, and a NaN that is truly fixed counts as fixed.
+    The test runs after sweeps 1, 4, 16, 64, ..., so a solve that never
+    settles pays for a few comparisons, not one per sweep. A negative
+    ``sweeps`` raises ValueError.
     """
     if mu < 0:
         raise ValueError("mu must be non-negative")
+    if sweeps < 0:
+        raise ValueError("sweeps must be non-negative")
     h, w = image.shape
     positive = np.asarray(wgt) > 0
     rows, cols = np.flatnonzero(positive.any(axis=1)), np.flatnonzero(positive.any(axis=0))
@@ -279,8 +294,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             # the weights of the pixel, its left and its upper neighbour
             wg, wl, wu = (at(wp, st, d).copy() for d in (0, -1, -p))
             diag = wg + mu * (wg * (at(inside, st, 1) + at(inside, st, p)) + wl + wu)
-            # a pad beyond the grid's right edge has diag > 0 through its left neighbour
-            pos = (diag > 0) & (at(inside, st) > 0)
+            # a pad beyond the grid's right edge has diag > 0 through its left
+            # neighbour; inside is 1 on the grid and 0 on the pads
+            pos = np.multiply(diag, at(inside, st)) > 0
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
             colours.append((views, wg * at(imp, st), wg, wl, wu, diag, pos))
@@ -288,15 +304,25 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
         # take two work arrays for the right-hand side, shared by both colours
         del wp, imp, inside
         rhs, t = np.empty((2, n))
-        for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours * sweeps:
-            # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
-            np.add(jr, jd, out=rhs)
-            rhs *= wg
-            rhs += np.multiply(wl, jl, out=t)
-            rhs += np.multiply(wu, ju, out=t)
-            rhs *= mu
-            rhs += wi
-            np.divide(rhs, diag, out=j, where=pos)
+        # stop at the fixed point (see above): black's bytes before and after
+        # sweeps 1, 4, 16, 64, ...
+        black, check = colours[1][0][0], 1
+        for k in range(1, sweeps + 1):
+            if k == check:
+                before = black.tobytes()
+            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
+                # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
+                np.add(jr, jd, out=rhs)
+                rhs *= wg
+                rhs += np.multiply(wl, jl, out=t)
+                rhs += np.multiply(wu, ju, out=t)
+                rhs *= mu
+                rhs += wi
+                np.divide(rhs, diag, out=j, where=pos)
+            if k == check:
+                if black.tobytes() == before:
+                    break
+                check *= 4
     out = np.array(warm, dtype=np.float64)
     out[y0:y1, x0:x1] = jp.reshape(bh + 2, p)[1:-1, 1:bw + 1]
     return out

@@ -118,31 +118,43 @@ def bilinear_geometry(shape, x, y):
     Returns (beyond, i00, dx, dy, fx, fy): the mask of coordinates outside
     [0, w-1] x [0, h-1], the index of each sample's upper-left corner in the
     raveled field, the offsets of its right and lower neighbours (0 on a
-    1-wide axis) and the fractions toward them. None of it depends on the
-    field's values, so one geometry serves every field of that shape.
+    1-wide axis) and the fractions toward them, each of the shape x and y
+    broadcast to. None of it depends on the field's values, so one geometry
+    serves every field of that shape.
+
+    Each axis is worked out at its own coordinates' shape and broadcast only
+    at the end, so an x row and a y column (an axis-aligned grid) cost one
+    pass over the grid per output, not one per step.
     """
     h, w = shape
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
-    # fx, fy start as clamped copies of x, y and x0, y0 as the corners, on
-    # floats, each in its own buffer (0-d for one sample); a coordinate is
-    # beyond the domain if clamping moved it, or if it is NaN
-    fx, fy, x0, y0 = (np.empty(x.shape) for _ in range(4))
-    np.clip(x, 0, w - 1, out=fx)
-    np.clip(y, 0, h - 1, out=fy)
-    beyond = fx != x
-    beyond |= fy != y
-    # fmin sends a NaN corner to the last one, so every index is in range; + 0.0
-    # turns floor(-0.0) into 0.0, so a sample at x = -0.0 keeps
-    # fx = -0.0 - 0.0 = -0.0, as with integer corners
-    np.fmin(np.floor(fx, out=x0), max(w - 2, 0), out=x0)
-    np.fmin(np.floor(fy, out=y0), max(h - 2, 0), out=y0)
-    x0 += 0.0
-    y0 += 0.0
-    fx -= x0
-    fy -= y0
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    full = np.broadcast_shapes(x.shape, y.shape)
+    fx, x0, beyond_x = _axis_geometry(x, w)
+    fy, y0, beyond_y = _axis_geometry(y, h)
+    beyond = beyond_x | beyond_y
     y0 *= w
-    y0 += x0
-    return beyond, y0.astype(np.intp), 1 if w > 1 else 0, w if h > 1 else 0, fx, fy
+    i00 = np.empty(full, dtype=np.intp)
+    np.add(y0, x0, out=i00, casting="unsafe")
+    # the fractions as full arrays, which the gather's products read contiguously
+    fx, fy = (f if f.shape == full else np.broadcast_to(f, full).copy() for f in (fx, fy))
+    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy
+
+
+def _axis_geometry(c, n):
+    """(fraction, corner as a float, beyond) of coordinates ``c`` on an axis of n samples."""
+    # the fraction starts as a clamped copy of c, the corner as its floor, each in
+    # its own buffer (0-d for one sample); a coordinate is beyond the axis if
+    # clamping moved it, or if it is NaN
+    f = np.clip(c, 0, n - 1, out=np.empty(c.shape))
+    beyond = f != c
+    # fmin sends a NaN corner to the last one, so every index is in range; + 0.0
+    # turns floor(-0.0) into 0.0, so a sample at -0.0 keeps the fraction
+    # -0.0 - 0.0 = -0.0, as with integer corners
+    c0 = np.floor(f, out=np.empty(c.shape))
+    np.fmin(c0, max(n - 2, 0), out=c0)
+    c0 += 0.0
+    f -= c0
+    return f, c0, beyond
 
 
 def bilinear_gather(f: np.ndarray, geometry, outside: float) -> np.ndarray:

@@ -94,16 +94,21 @@ def _warp_geometry(shape, pose_bytes: bytes):
     tau, theta, tx, ty = np.frombuffer(pose_bytes)
     h, w = shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    ct, st = np.cos(theta), np.sin(theta)
-    # an x-offset row and a y-offset column, broadcast to the grid in hx and hy
-    dx = np.arange(w, dtype=np.float64) - cx
-    dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
-    # tau*(ct*dx - st*dy) + cx + tx and its y twin, in place
-    hx = ct * dx - st * dy
+    # an x-offset row and a y-offset column
+    dx = np.arange(w, dtype=np.float64)[None, :] - cx
+    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    if theta == 0.0:
+        # ct*dx - st*dy is exactly dx and st*dx + ct*dy exactly dy (neither is
+        # ever -0.0), so hx stays a row and hy a column
+        hx, hy = dx, dy
+    else:
+        ct, st = np.cos(theta), np.sin(theta)
+        hx = ct * dx - st * dy
+        hy = st * dx + ct * dy
+    # tau*hx + cx + tx and its y twin, in place
     hx *= tau
     hx += cx
     hx += tx
-    hy = st * dx + ct * dy
     hy *= tau
     hy += cy
     hy += ty
@@ -188,7 +193,10 @@ def synthesize_shape(model: ShapeModel, lam) -> np.ndarray:
         raise ValueError(f"lambda must have length {model.p}, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("lambda must be finite")
-    return model.mean + np.tensordot(lam, model.modes, axes=1)
+    # one matrix-vector product, then the mean added in place (addition commutes)
+    out = lam @ model.modes.reshape(model.p, -1)
+    out += model.mean.ravel()
+    return out.reshape(model.mean.shape)
 
 
 def write_smdl(model: ShapeModel, path) -> None:

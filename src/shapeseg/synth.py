@@ -103,7 +103,8 @@ class SceneSpec:
             raise ValueError("disk radius and ellipse semi-axes must be positive")
 
 
-def _shape_mask(spec: SceneSpec) -> np.ndarray:
+def truth_mask(spec: SceneSpec) -> np.ndarray:
+    """The scene's shape mask, True inside: its truth, with no occlusion and no image."""
     # a y column and an x row, broadcast to the grid: each pixel sees the
     # same float operands as on full coordinate grids, which are never built
     ys = np.arange(spec.height, dtype=np.float64)[:, None]
@@ -163,7 +164,7 @@ def _occlusion_mask(spec: SceneSpec) -> np.ndarray:
 
 def render(spec: SceneSpec):
     """Render (image, truth_mask); the truth is the un-occluded geometry."""
-    truth = _shape_mask(spec)
+    truth = truth_mask(spec)
     visible = truth & ~_occlusion_mask(spec)
     image = np.where(visible, spec.fg, spec.bg).astype(np.float64, copy=False)
     if spec.noise_std > 0:
@@ -186,7 +187,7 @@ def ellipse_training_set(n: int, a_range, b_range, width: int, height: int):
     for a, b in zip(a_vals, b_vals):
         spec = SceneSpec(width=width, height=height,
                          shape=("ellipse", cx, cy, float(a), float(b), 0.0))
-        masks.append(_shape_mask(spec))
+        masks.append(truth_mask(spec))
     return masks
 
 

@@ -67,8 +67,8 @@ def occluded_disk_setup():
     spec = synth.SceneSpec(width=128, height=128, shape=("disk", 63.5, 63.5, 20.0),
                            occlusion=("arc", -np.pi / 6, np.pi / 6))
     img, _ = synth.render(spec)
-    masks = [synth._shape_mask(synth.SceneSpec(width=128, height=128,
-                                               shape=("disk", 63.5, 63.5, float(r))))
+    masks = [synth.truth_mask(synth.SceneSpec(width=128, height=128,
+                                              shape=("disk", 63.5, 63.5, float(r))))
              for r in (14, 16, 18, 20, 22, 24, 26)]
     model = shape_prior.build_shape_model(
         [shape_prior.sdf_from_mask(m) for m in masks], p=2)
@@ -301,8 +301,8 @@ def test_pipeline_is_deterministic(tmp_path):
     (tmp_path / "config.txt").write_text(cfg_text)
     mask_paths = []
     for i, r in enumerate((9, 11, 13, 15)):
-        m = synth._shape_mask(synth.SceneSpec(width=64, height=64,
-                                              shape=("disk", 31.5, 31.5, float(r))))
+        m = synth.truth_mask(synth.SceneSpec(width=64, height=64,
+                                             shape=("disk", 31.5, 31.5, float(r))))
         p = tmp_path / f"mask{i}.pgm"
         io.write_pgm(np.where(m, 255.0, 0.0), p)
         mask_paths.append(str(p))

@@ -80,8 +80,8 @@ class TestBuildModelCommand:
         paths = []
         for r in range(14, 27, 2):
             p = tmp_path / f"m{r}.pgm"
-            io.write_pgm(np.where(synth.render(synth.SceneSpec(
-                width=128, height=128, shape=("disk", 63.5, 63.5, float(r))))[1], 255.0, 0.0), p)
+            io.write_pgm(np.where(synth.truth_mask(synth.SceneSpec(
+                width=128, height=128, shape=("disk", 63.5, 63.5, float(r)))), 255.0, 0.0), p)
             paths.append(str(p))
         src = str(Path(cli.__file__).resolve().parents[1])
         files = []
@@ -131,8 +131,8 @@ class TestEnergyCommand:
         img_p = tmp_path / "img.pgm"
         run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
                  "--out-truth", str(tmp_path / "t.pgm")])
-        masks = [synth.render(synth.SceneSpec(width=64, height=64,
-                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+        masks = [synth.truth_mask(synth.SceneSpec(width=64, height=64,
+                                                  shape=("disk", 31.5, 31.5, float(r))))
                  for r in (9, 11, 13, 15)]
         model = shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
         model_p = tmp_path / "m.smdl"
@@ -304,8 +304,8 @@ class TestExitCodes:
         masks = []
         for r in (8, 10, 12):
             p = tmp_path / f"m{r}.pgm"
-            io.write_pgm(np.where(synth.render(synth.SceneSpec(
-                width=32, height=32, shape=("disk", 15.5, 15.5, float(r))))[1], 255.0, 0.0), p)
+            io.write_pgm(np.where(synth.truth_mask(synth.SceneSpec(
+                width=32, height=32, shape=("disk", 15.5, 15.5, float(r)))), 255.0, 0.0), p)
             masks.append(str(p))
         model = tmp_path / "model.smdl"
         assert run_cli(["build-model", "--masks", *masks, "--modes", "2",
@@ -334,8 +334,8 @@ class TestExitCodes:
         masks = []
         for r in (8, 10, 12):
             p = tmp_path / f"m{r}.pgm"
-            io.write_pgm(np.where(synth.render(synth.SceneSpec(
-                width=32, height=32, shape=("disk", 15.5, 15.5, float(r))))[1], 255.0, 0.0), p)
+            io.write_pgm(np.where(synth.truth_mask(synth.SceneSpec(
+                width=32, height=32, shape=("disk", 15.5, 15.5, float(r)))), 255.0, 0.0), p)
             masks.append(str(p))
         model = tmp_path / "model.smdl"
         assert run_cli(["build-model", "--masks", *masks, "--modes", "2",
@@ -448,8 +448,8 @@ class TestExitCodes:
     def test_lambda_without_values_is_usage_error(self, tmp_path, capsys, extra):
         # an empty --lambda used to print the energy at lambda = 0
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
-        masks = [synth.render(synth.SceneSpec(width=64, height=64,
-                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+        masks = [synth.truth_mask(synth.SceneSpec(width=64, height=64,
+                                                  shape=("disk", 31.5, 31.5, float(r))))
                  for r in (9, 11, 13)]
         model_p = tmp_path / "m.smdl"
         shape_prior.write_smdl(shape_prior.build_shape_model(
@@ -468,8 +468,8 @@ class TestExitCodes:
         # a model of 48x40 masks on a 64x64 image used to fail with NumPy's
         # "operands could not be broadcast together" text
         img_p, phi_p, cfg_p = self._energy_inputs(tmp_path)
-        masks = [synth.render(synth.SceneSpec(width=48, height=40,
-                                              shape=("disk", 23.5, 19.5, float(r))))[1]
+        masks = [synth.truth_mask(synth.SceneSpec(width=48, height=40,
+                                                  shape=("disk", 23.5, 19.5, float(r))))
                  for r in (9, 11, 13)]
         model_p = tmp_path / "m.smdl"
         shape_prior.write_smdl(shape_prior.build_shape_model(
@@ -575,8 +575,8 @@ class TestExitCodes:
 
     @staticmethod
     def _disk_model():
-        masks = [synth.render(synth.SceneSpec(width=64, height=64,
-                                              shape=("disk", 31.5, 31.5, float(r))))[1]
+        masks = [synth.truth_mask(synth.SceneSpec(width=64, height=64,
+                                                  shape=("disk", 31.5, 31.5, float(r))))
                  for r in (9, 11, 13)]
         return shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
 
@@ -806,7 +806,7 @@ class TestExtremeValues:
         image, _ = synth.render(spec)
         io.write_pgm(image, d / "img.pgm")
         field.write_sfld(descent.default_init_phi((16, 16)), d / "phi.sfld")
-        masks = [synth.render(replace(spec, shape=("disk", 7.5, 7.5, r)))[1] for r in (3.0, 4.0, 5.0)]
+        masks = [synth.truth_mask(replace(spec, shape=("disk", 7.5, 7.5, r))) for r in (3.0, 4.0, 5.0)]
         model = shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
         shape_prior.write_smdl(model, d / "m.smdl")
         return d

@@ -1,4 +1,5 @@
 import copy
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -308,8 +309,22 @@ class TestSolveSmoothApproximant:
                                              -1.0, 1, np.zeros((4, 4)))
 
 
+def assert_matches_reference(img, wgt, mu, warm, sweeps):
+    """The solver equals the reference, which never stops early, at each sweep count."""
+    # the reference at each count runs on from its output at the count before
+    want, done = np.array(warm, dtype=np.float64), 0
+    for n in sweeps:
+        want = _sublattice_reference(img, wgt, mu, n - done, want)
+        done = n
+        got = descent.solve_smooth_approximant(img, wgt, mu, n, warm)
+        assert got.tobytes() == want.tobytes() and got is not warm
+
+
 class TestSolverMatchesSublatticeReference:
     MUS = [0.0, 0.37, 1.0, 1e3]
+    # the solver stops once a sweep changes no bit, which these counts reach
+    # before, at and after its checks
+    SWEEPS = (0, 1, 2, 3, 20, 100, 1000)
 
     @pytest.mark.parametrize("mu", MUS)
     def test_full_grid_weights(self, mu):
@@ -322,9 +337,88 @@ class TestSolverMatchesSublatticeReference:
         noisy[rng.uniform(size=img.shape) < 0.3] = 0.0
         warm = np.full_like(img, img.mean())
         for wgt in (region, 1.0 - region, noisy):
-            for sweeps in (0, 1, 20, 100):
-                got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
-                assert got.tobytes() == _sublattice_reference(img, wgt, mu, sweeps, warm).tobytes()
+            assert_matches_reference(img, wgt, mu, warm, self.SWEEPS)
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("shape", [(12, 13), (9, 1), (2, 2)])
+    def test_fixed_point_warm_start(self, shape, mu):
+        # the solver's own output run on from the exact solution, where it settles
+        # within a few sweeps (from a random start, mu = 1e3 takes about 5e4)
+        h, w = shape
+        rng = np.random.default_rng(h * 29 + w)
+        img = rng.uniform(0, 255, size=shape)
+        wgt = rng.uniform(0.05, 1.0, size=shape)
+        wgt[rng.uniform(size=shape) < 0.3] = 0.0
+        warm = rng.normal(100, 50, size=shape)
+        fixed = descent.solve_smooth_approximant(img, wgt, mu, 4 ** 6,
+                                                 _direct_solution(img, wgt, mu, warm))
+        assert _sublattice_reference(img, wgt, mu, 1, fixed).tobytes() == fixed.tobytes()
+        assert_matches_reference(img, wgt, mu, fixed, self.SWEEPS)
+
+    @pytest.mark.parametrize("mu", MUS)
+    @pytest.mark.parametrize("shape", [(64, 64), (12, 13), (9, 1)])
+    def test_nan_and_negative_zero_warm_starts(self, shape, mu):
+        # NaN at a pixel of positive weight spreads until it too is a fixed
+        # point, and -0.0 at every pixel of zero weight differs from 0.0 only in
+        # its bits: the solver must stop exactly where the reference's sweeps do
+        h, w = shape
+        rng = np.random.default_rng(h * 31 + w)
+        img = rng.uniform(0, 255, size=shape)
+        if h > 16:
+            wgt = 1.0 - energy.heaviside_eps(-disk_sdf(h, w, 31.5, 31.5, 10.0), W.eps)
+        else:
+            wgt = rng.uniform(0.05, 1.0, size=shape)
+            wgt[rng.uniform(size=shape) < 0.3] = 0.0
+        warm = rng.normal(100, 50, size=shape)
+        nan = warm.copy()
+        live = np.flatnonzero(wgt > 0)
+        nan.flat[live[len(live) // 2]] = np.nan
+        for start in (nan, np.where(wgt == 0, -0.0, warm)):
+            assert_matches_reference(img, wgt, mu, start, self.SWEEPS)
+
+    @pytest.mark.parametrize("mu", [0.37, 1e3])
+    @pytest.mark.parametrize("shape", [(64, 64), (12, 13), (9, 1)])
+    def test_warm_starts_that_fool_a_weaker_check(self, shape, mu):
+        # red already the update of black (the state halfway through a sweep),
+        # where a sweep leaves red as it was but not black; and zeros that differ
+        # only in sign, where a sweep leaves every value equal as a float while a
+        # 0.0 spreads through a field of -0.0 (the image is -0.0, so a pixel
+        # stays -0.0 only while all its neighbours are)
+        h, w = shape
+        rng = np.random.default_rng(h * 37 + w)
+        img = rng.uniform(0, 255, size=shape)
+        wgt = rng.uniform(0.05, 1.0, size=shape)
+        warm = rng.normal(100, 50, size=shape)
+        ys, xs = np.indices(shape)
+        red = (xs + ys) % 2 == 0
+        half = np.where(red, _sublattice_reference(img, wgt, mu, 2, warm),
+                        _sublattice_reference(img, wgt, mu, 1, warm))
+        assert_matches_reference(img, wgt, mu, half, self.SWEEPS)
+        zeros = np.full(shape, -0.0)
+        zeros[h // 2, w // 2] = 0.0
+        assert_matches_reference(np.full(shape, -0.0), wgt, mu, zeros, self.SWEEPS)
+        spread = descent.solve_smooth_approximant(np.full(shape, -0.0), wgt, mu, 20, zeros)
+        assert np.all(spread == 0) and np.sum(~np.signbit(spread)) > 1
+
+    def test_fixed_point_returns_at_once(self):
+        # the arc_model I_out solve once it has settled: a fixed-point warm start
+        # stops after the first sweep, whatever the count
+        img = smooth_image(128, 128)
+        wgt = 1.0 - energy.heaviside_eps(-disk_sdf(128, 128, 63.5, 63.5, 20.0), W.eps)
+        fixed = descent.solve_smooth_approximant(img, wgt, W.mu, 10 ** 4,
+                                                 np.full_like(img, img.mean()))
+        assert _sublattice_reference(img, wgt, W.mu, 1, fixed).tobytes() == fixed.tobytes()
+        t0 = time.perf_counter()
+        got = descent.solve_smooth_approximant(img, wgt, W.mu, 10 ** 5, fixed)
+        # 10**5 sweeps of this grid take seconds; one takes well under a millisecond
+        assert time.perf_counter() - t0 < 1.0
+        assert got.tobytes() == fixed.tobytes()
+
+    def test_negative_sweeps_rejected(self):
+        # a negative count used to run no sweep and return the warm start
+        with pytest.raises(ValueError, match="sweeps must be non-negative"):
+            descent.solve_smooth_approximant(np.zeros((4, 4)), np.ones((4, 4)),
+                                             0.5, -1, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 8), (1, 9), (8, 1), (9, 1), (6, 7), (7, 6),
                                        (12, 13), (13, 12), (10, 10)])
@@ -344,10 +438,7 @@ class TestSolverMatchesSublatticeReference:
             wgt[rng.uniform(size=shape) < 0.2] = 0.0
             weights.append(wgt)
         for wgt in weights:
-            for sweeps in (0, 1, 20, 100):
-                got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
-                want = _sublattice_reference(img, wgt, mu, sweeps, warm)
-                assert got.tobytes() == want.tobytes() and got is not warm
+            assert_matches_reference(img, wgt, mu, warm, (0, 1, 2, 3, 20, 100))
 
     # (shape, box of positive weights as (row, column) slices): boxes on each
     # edge and in each corner, one-pixel boxes, the whole grid, and box origins
@@ -383,10 +474,7 @@ class TestSolverMatchesSublatticeReference:
         wgt[box][rng.uniform(size=wgt[box].shape) < 0.2] = 0.0
         wgt[box][0, 0] = 0.5                    # the box is exactly the positive weights'
         wgt[box][-1, -1] = 0.5
-        for sweeps in (0, 1, 20):
-            got = descent.solve_smooth_approximant(img, wgt, mu, sweeps, warm)
-            want = _sublattice_reference(img, wgt, mu, sweeps, warm)
-            assert got.tobytes() == want.tobytes() and got is not warm
+        assert_matches_reference(img, wgt, mu, warm, (0, 1, 2, 3, 20))
 
     @pytest.mark.parametrize("shape", [(1, 1), (6, 7), (12, 13)])
     @pytest.mark.parametrize("outside", [0.0, -0.3], ids=["zero", "negative"])
@@ -409,6 +497,31 @@ class TestSolverMatchesSublatticeReference:
             got = descent.solve_smooth_approximant(img, wgt, 0.5, sweeps, warm)
             want = _sublattice_reference(img, wgt, 0.5, sweeps, warm)
             assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+
+def _direct_solution(image, wgt, mu, warm):
+    """The dense solve of the normal equations; a pixel with diag <= 0 keeps its warm value."""
+    h, w = image.shape
+    wl = np.zeros_like(wgt); wl[:, 1:] = wgt[:, :-1]
+    wu = np.zeros_like(wgt); wu[1:, :] = wgt[:-1, :]
+    nf = np.full((h, w), 2.0)
+    nf[:, -1] -= 1.0
+    nf[-1, :] -= 1.0
+    diag = wgt + mu * (wgt * nf + wl + wu)
+    a = np.zeros((h * w, h * w))
+    b = np.where(diag > 0, wgt * image, warm).ravel()
+    for y in range(h):
+        for x in range(w):
+            i = y * w + x
+            if not diag[y, x] > 0:
+                a[i, i] = 1.0
+                continue
+            a[i, i] = diag[y, x]
+            for ok, k, c in ((x < w - 1, i + 1, wgt[y, x]), (y < h - 1, i + w, wgt[y, x]),
+                             (x > 0, i - 1, wl[y, x]), (y > 0, i - w, wu[y, x])):
+                if ok:
+                    a[i, k] -= mu * c
+    return np.linalg.solve(a, b).reshape(h, w)
 
 
 def _sublattice_reference(image, wgt, mu, sweeps, warm):

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from shapeseg import field
 
-from conftest import disk_sdf, disk_mask, grid
+from conftest import assert_same_geometry, disk_sdf, disk_mask, grid, reference_bilinear_geometry
 
 
 class TestGrad:
@@ -229,6 +229,39 @@ class TestBilinearReference:
         y = 0.3 * xs + 1.07 * ys - 1.1
         got = field.bilinear_sample(f, x, y, 9.0)
         assert got.tobytes() == bilinear_reference(f, x, y, 9.0).tobytes()
+
+
+class TestBilinearGeometryReference:
+    # each axis is worked out at its own coordinates' shape, so an x row and a
+    # y column, or a scalar beside an array, skip the full grids of the
+    # reference; every component must still match it bit for bit
+
+    @staticmethod
+    def coords(n):
+        # inside, on either end, beyond either end, -0.0 and NaN
+        return (st.floats(0, n - 1) | st.sampled_from([0.0, -0.0, n - 1.0, np.nan])
+                | st.floats(-3, n + 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_and_column(self, data):
+        h, w = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+        nx, ny = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+        x = np.array(data.draw(st.lists(self.coords(w), min_size=nx, max_size=nx)))[None, :]
+        y = np.array(data.draw(st.lists(self.coords(h), min_size=ny, max_size=ny)))[:, None]
+        for a, b in ((x, y), (y.T, x.T), (x, x), (x[0, 0], y), (x, float(y[0, 0])),
+                     (x[0, 0], y[0, 0])):
+            assert_same_geometry(field.bilinear_geometry((h, w), a, b),
+                                 reference_bilinear_geometry((h, w), a, b))
+
+    def test_fractions_are_full_contiguous_arrays(self, rng):
+        x = rng.uniform(-2, 14, size=(5, 6))
+        y = rng.uniform(-2, 9, size=(5, 6))
+        got = field.bilinear_geometry((8, 13), x, y)
+        assert_same_geometry(got, reference_bilinear_geometry((8, 13), x, y))
+        row = field.bilinear_geometry((8, 13), x[:1], y[:, :1])
+        assert row[4].shape == row[5].shape == (5, 6)
+        assert row[4].flags.c_contiguous and row[5].flags.c_contiguous
 
 
 class TestBilinearNan:

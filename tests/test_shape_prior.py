@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from shapeseg import field, shape_prior, synth
 from shapeseg.shape_prior import Pose
 
-from conftest import disk_mask, grid
+from conftest import assert_same_geometry, disk_mask, grid, reference_bilinear_geometry
 
 
 def nearest_opposite_sdf(m):
@@ -193,6 +194,19 @@ class TestSynthesizeShape:
                - (a + b - 1) * model.mean)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_matches_tensordot(self, p):
+        # the sum as the tensordot it was written as, bit for bit: lambda at 0, at
+        # every corner of its box and at random points inside it
+        m = shape_prior.build_shape_model(ellipse_sdfs(n=6), p=p)
+        lo, hi = m.lambda_box.T
+        lams = [np.zeros(p), *map(np.array, itertools.product(*m.lambda_box)),
+                *np.random.default_rng(p).uniform(lo, hi, size=(40, p))]
+        for lam in lams:
+            want = m.mean + np.tensordot(lam, m.modes, axes=1)
+            got = shape_prior.synthesize_shape(m, lam)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_length_mismatch(self, model):
         with pytest.raises(ValueError):
             shape_prior.synthesize_shape(model, np.zeros(2))
@@ -306,6 +320,29 @@ class TestWarp:
         repeats = sum(p[0].shape == q[0].shape and p[1:] == q[1:]
                       for p, q in zip(calls, calls[1:]))
         assert shape_prior._warp_geometry.cache_info().hits == repeats == 4
+
+    @staticmethod
+    def _reference_geometry(shape, pose):
+        # the warp's geometry as written on full grids: both coordinates of
+        # every pixel, then the full-grid bilinear geometry
+        h, w = shape
+        cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+        ct, st_ = np.cos(pose.theta), np.sin(pose.theta)
+        dx = np.arange(w, dtype=np.float64) - cx
+        dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
+        hx = (ct * dx - st_ * dy) * pose.tau + cx + pose.tx
+        hy = (st_ * dx + ct * dy) * pose.tau + cy + pose.ty
+        return reference_bilinear_geometry(shape, hx, hy)
+
+    @pytest.mark.parametrize("shape", [(128, 128), (17, 12), (1, 9), (9, 1), (1, 1), (2, 2)])
+    @pytest.mark.parametrize("tau", [shape_prior.TAU_MIN, 1.0, 1.37, shape_prior.TAU_MAX])
+    @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi, 1e-3, 0.7, -2.9])
+    def test_geometry_matches_full_grid_formula(self, shape, tau, theta):
+        # unrotated maps (theta = 0) keep a row and a column until the end
+        for tx, ty in ((0.0, 0.0), (1e-3, -1e-3), (0.37, -2.6), (-13.25, 7.5)):
+            pose = Pose(tau, theta, tx, ty)
+            got = shape_prior._warp_geometry.__wrapped__(shape, pose.as_vector().tobytes())
+            assert_same_geometry(got, self._reference_geometry(shape, pose))
 
     def test_cached_geometry_is_read_only(self, rng):
         f = rng.normal(size=(12, 10))

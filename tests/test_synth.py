@@ -75,13 +75,21 @@ def outcome(fn, *args):
 
 
 def assert_same_render(spec):
+    # the render, and the truth mask alone, which must be the render's truth
     got, want = outcome(synth.render, spec), outcome(reference_render, spec)
+    mask, want_mask = outcome(synth.truth_mask, spec), outcome(reference_shape_mask, spec)
+    if isinstance(want_mask, str):
+        assert mask == want_mask
+    else:
+        assert mask.dtype == want_mask.dtype and mask.shape == want_mask.shape
+        assert mask.tobytes() == want_mask.tobytes()
     if isinstance(want, str):
         assert got == want
         return
     for g, r in zip(got, want):
         assert g.dtype == r.dtype and g.shape == r.shape
         assert g.tobytes() == r.tobytes()
+    assert got[1].tobytes() == mask.tobytes()
 
 
 class TestSplitmix64:
