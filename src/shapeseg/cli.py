@@ -33,17 +33,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-image", required=True)
     p.add_argument("--out-truth", required=True)
+    p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("build-model", help="build a PCA shape model from masks")
     p.add_argument("--masks", nargs="+", required=True)
     p.add_argument("--modes", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_build_model)
 
     p = sub.add_parser("segment", help="run the descent on an image")
     p.add_argument("--image", required=True)
     p.add_argument("--model")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
+    p.set_defaults(func=_cmd_segment)
 
     p = sub.add_parser("energy", help="evaluate the energy of a state")
     p.add_argument("--image", required=True)
@@ -53,11 +56,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--pose", type=float, nargs=4,
                    metavar=("TAU", "THETA", "TX", "TY"))
     p.add_argument("--config", required=True)
+    p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("reinit", help="re-initialize a level set toward an SDF")
     p.add_argument("--phi", required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_reinit)
     return parser
 
 
@@ -139,15 +144,6 @@ def _cmd_reinit(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "build-model": _cmd_build_model,
-    "segment": _cmd_segment,
-    "energy": _cmd_energy,
-    "reinit": _cmd_reinit,
-}
-
-
 def run_cli(argv) -> int:
     parser = _build_parser()
     try:
@@ -164,7 +160,7 @@ def run_cli(argv) -> int:
     except SystemExit as exc:  # --version / --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.func(args)
     except descent.NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3

@@ -237,15 +237,16 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 
     Only a pixel with diag > 0 ever changes, and it has a positive weight at
     itself, its left or its upper neighbour; so the sweeps cover the box of
-    positive weights, extended by one pixel right and down, and read a
-    one-pixel ring around it that they never write. Box and ring live on one
-    raveled layout with zeros beyond the grid and an odd row pitch
-    p >= box width + 2, pixel (y, x) at index (y - y0 + 1) * p + x - x0 + 1 for
-    the box origin (y0, x0). An odd pitch makes a pixel's colour (x + y) % 2
-    its index's parity, flipped when x0 + y0 is odd, and its four neighbours,
-    at +-1 and +-p, the other parity; so each colour is one stride-2 slice,
-    and a sweep is two passes. An overflow is left for the energy's
-    finiteness check to report.
+    positive weights grown by one pixel up and left and two down and right,
+    clipped to the grid. A pixel on the grown edge has no positive weight at
+    itself, its left or its upper neighbour, so its diag is not positive and
+    the sweeps only read it. The box lives on one raveled layout with zeros
+    around it and an odd row pitch p >= box width + 2, pixel (y, x) at index
+    (y - y0 + 1) * p + x - x0 + 1 for the box origin (y0, x0). An odd pitch
+    makes a pixel's colour (x + y) % 2 its index's parity, flipped when
+    x0 + y0 is odd, and its four neighbours, at +-1 and +-p, the other
+    parity; so each colour is one stride-2 slice, and a sweep is two passes.
+    An overflow is left for the energy's finiteness check to report.
 
     ``sweeps`` is an upper bound: a sweep is a deterministic function of the
     iterate, so once one leaves it bit for bit unchanged, every later one
@@ -268,16 +269,15 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     del positive
     if rows.size == 0:
         return np.array(warm, dtype=np.float64)
-    # the box [y0, y1) x [x0, x1), and the part of it and its ring on the grid
-    y0, x0 = rows[0], cols[0]
-    y1, x1 = min(rows[-1] + 2, h), min(cols[-1] + 2, w)
+    # the box [y0, y1) x [x0, x1)
+    y0, x0 = max(rows[0] - 1, 0), max(cols[0] - 1, 0)
+    y1, x1 = min(rows[-1] + 3, h), min(cols[-1] + 3, w)
     bh, bw = y1 - y0, x1 - x0
     p = bw + 3 - bw % 2
-    ya, yb, xa, xb = max(y0 - 1, 0), min(y1 + 1, h), max(x0 - 1, 0), min(x1 + 1, w)
 
     def crop(a):
         buf = np.zeros((bh + 2, p))
-        buf[ya - y0 + 1:yb - y0 + 1, xa - x0 + 1:xb - x0 + 1] = np.asarray(a)[ya:yb, xa:xb]
+        buf[1:-1, 1:bw + 1] = np.asarray(a)[y0:y1, x0:x1]
         return buf.ravel()
 
     jp, wp, imp, inside = map(crop, (warm, wgt, image, np.broadcast_to(1.0, (h, w))))
@@ -294,8 +294,8 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             # the weights of the pixel, its left and its upper neighbour
             wg, wl, wu = (at(wp, st, d).copy() for d in (0, -1, -p))
             diag = wg + mu * (wg * (at(inside, st, 1) + at(inside, st, p)) + wl + wu)
-            # a pad beyond the grid's right edge has diag > 0 through its left
-            # neighbour; inside is 1 on the grid and 0 on the pads
+            # a pad right of a box on the grid's right edge has diag > 0 through
+            # its left neighbour; inside is 1 on the box and 0 on the pads
             pos = np.multiply(diag, at(inside, st)) > 0
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]

@@ -752,6 +752,13 @@ class TestExitCodes:
         assert run_cli(["--version"]) == 0
         assert cli.__version__ in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["synth", "build-model", "segment", "energy", "reinit"])
+    def test_subcommand_help(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"usage: shapeseg {command} ")
+        assert captured.err == ""
+
     def test_module_run_is_warning_free(self):
         # importing the package must not import shapeseg.cli ahead of runpy
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -17,7 +17,7 @@ from conftest import disk_sdf, disk_mask, grid
 W = EnergyWeights()
 
 
-def smooth_phi(h, w, seed=3):
+def smooth_phi(h, w):
     # an SDF-ish field with symmetry deliberately broken so no pixel has an
     # accidentally vanishing gradient
     base = disk_sdf(h, w, w / 2 - 1.3, h / 2 + 0.7, min(h, w) / 4)
@@ -84,7 +84,7 @@ class TestGradPhiTotal:
 
     def test_matches_fd_with_model(self, disk_model):
         h, w_ = 48, 48
-        phi = smooth_phi(h, w_, seed=5)
+        phi = smooth_phi(h, w_)
         image = smooth_image(h, w_, seed=9)
         g = energy.edge_indicator(image, W.eta, W.sigma)
         lam = 0.4 * disk_model.lambda_box[:, 1]
@@ -464,7 +464,7 @@ class TestSolverMatchesSublatticeReference:
     @pytest.mark.parametrize("outside", [0.0, -0.3], ids=["zero", "negative"])
     def test_weight_boxes(self, shape, box, mu, outside):
         # zeros inside the box too, and beyond it a zero or a negative weight,
-        # which the solver still reads through its box's ring
+        # which the solver still reads on its box's edge
         rng = np.random.default_rng(shape[0] * 7 + shape[1] + 3 * (box[0].start or 0)
                                     + (box[1].start or 0))
         img = rng.uniform(0, 255, size=shape)
@@ -759,7 +759,7 @@ class TestFieldsComputedOncePerStep:
         if not with_model:
             return img, g, None, SegmentationState(phi=smooth_phi(48, 48))
         state = replace(descent.init_state(img, disk_model, self.W),
-                        phi=smooth_phi(48, 48, seed=5), lam=np.array([0.3, -0.2]),
+                        phi=smooth_phi(48, 48), lam=np.array([0.3, -0.2]),
                         pose=Pose(1.05, 0.1, 0.4, -0.3))
         return img, g, disk_model, state
 
@@ -854,7 +854,7 @@ class TestKernelsLeaveInputsUntouched:
             descent.evaluate(state, img, g, None, self.W)     # fills the memo
             return img, g, None, state
         state = replace(descent.init_state(img, disk_model, self.W),
-                        phi=smooth_phi(48, 48, seed=5), lam=np.array([0.3, -0.2]),
+                        phi=smooth_phi(48, 48), lam=np.array([0.3, -0.2]),
                         pose=Pose(1.05, 0.1, 0.4, -0.3), _memo={})
         descent.evaluate(state, img, g, disk_model, self.W)
         assert set(state._memo) == {"phi", "fit"}
