@@ -20,11 +20,14 @@ spec = synth.SceneSpec(width=128, height=128, shape=("disk", 63.5, 63.5, 20.0),
 image, truth = synth.render(spec)
 
 # Default weights and schedule; the initial contour is a centered circle of
-# radius 32, well outside the true disk of radius 20.
+# radius 32, well outside the true disk of radius 20. The run stops once the
+# energy's gradient on a band around the contour is close to zero
+# ("stationary"), or after 2000 steps ("max_iters").
 state = descent.segment(image, None, EnergyWeights(), DescentConfig())
 
 totals = [b.total for b in state.trace]
-print(f"ran {state.iter} iterations; energy {totals[0]:.1f} -> {totals[-1]:.1f}")
+print(f"ran {state.iter} iterations, stopped: {state.stop_reason}; "
+      f"energy {totals[0]:.1f} -> {totals[-1]:.1f}")
 drops = sum(1 for a, b in zip(totals, totals[1:]) if b > a + 1e-9 * abs(a))
 print(f"energy increases along the trace: {drops} (the descent is monotone)")
 

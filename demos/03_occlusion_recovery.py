@@ -50,11 +50,11 @@ def arc_miss(state):
 w = EnergyWeights(alpha=2.0, beta=2.5, gamma=0.5)
 
 free = descent.segment(image, None, w, DescentConfig(max_iters=2000))
-print(f"prior-free run:   {free.iter} iters, "
+print(f"prior-free run:   {free.iter} iters ({free.stop_reason}), "
       f"misses the hidden arc by {arc_miss(free):.2f} px on average")
 
 prior = descent.segment(image, model, w, DescentConfig(max_iters=600))
-print(f"with shape model: {prior.iter} iters, "
+print(f"with shape model: {prior.iter} iters ({prior.stop_reason}), "
       f"misses the hidden arc by {arc_miss(prior):.2f} px on average")
 print(f"final shape coefficients: {np.round(prior.lam, 2)}")
 print(f"final pose: scale {prior.pose.tau:.3f}, angle {prior.pose.theta:.3f}, "

@@ -104,7 +104,7 @@ def _cmd_segment(args) -> int:
     (out / "trace.csv").write_text(io.trace_to_csv(state.trace))
     (out / "config.txt").write_text(descent.config_to_kv(w, cfg))
     total = state.trace[-1].total if state.trace else float("nan")
-    print(f"segment: {state.iter} iterations, {len(cs)} contours, "
+    print(f"segment: {state.iter} iterations ({state.stop_reason}), {len(cs)} contours, "
           f"final energy {total:.6g}")
     return 0
 

@@ -15,6 +15,16 @@ Each outer step is: refresh approximants, projected parameter step, CFL-capped
 explicit Euler step on phi, then per-group backtracking (halve once and retry;
 revert the group if the energy still rises) so accepted traces are
 non-increasing up to the configured tolerance.
+
+Without a model the phi step is a heavy ball (Polyak): the Euler step plus
+MOMENTUM times the last accepted phi step, through the same gate, and the
+velocity restarts from zero after a revert or an accepted energy rise
+(O'Donoghue & Candes). With a model the phi step stays plain Euler: momentum
+doubled the occluded-arc scene's 30-step hidden-arc miss (1.21 to 2.47 px).
+A run stops once the RMS of dE/dphi on the band around the contour falls
+below STATIONARY_RMS: the relative energy change is no measure of the
+contour, since the distance penalty's far-field relaxation keeps it moving
+long after the contour has settled.
 """
 
 from dataclasses import dataclass, field as dc_field, replace
@@ -37,6 +47,10 @@ STEP_POSE = 2e-3
 FD_H = 1e-3
 # Gauss-Seidel sweeps per approximant refresh in ``step``, at most
 SWEEPS = 20
+# the prior-free phi step's heavy-ball weight on the last accepted step
+MOMENTUM = 0.9
+# ``segment`` stops once the band RMS of dE/dphi (see band_rms) is below this
+STATIONARY_RMS = 2e-4
 
 
 @dataclass
@@ -64,6 +78,12 @@ class SegmentationState:
     i_out: Optional[np.ndarray] = None
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
+    # the last accepted prior-free phi step, None after a restart (see step)
+    velocity: Optional[np.ndarray] = dc_field(default=None, repr=False)
+    # band_rms of the last step's phi gradient, and why segment stopped:
+    # "stationary" or "max_iters"
+    phi_grad_rms: Optional[float] = None
+    stop_reason: Optional[str] = None
     # fields reused within one segment run: {kind: (inputs, fields)}; see _fields
     _memo: Optional[dict] = dc_field(default=None, repr=False, compare=False)
 
@@ -333,13 +353,19 @@ def refresh_approximants(state: SegmentationState, image, model,
     """Gauss-Seidel refresh of I_in and I_out for the current prior region."""
     wgt = energy.heaviside_eps(-prior_field(model, state.lam, state.pose), w.eps)
     i_in = solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in)
-    i_out = solve_smooth_approximant(image, 1.0 - wgt, w.mu, sweeps, state.i_out)
+    # 1 - wgt in wgt's buffer, so the I_out solve holds one weight field, not two
+    i_out = solve_smooth_approximant(image, np.subtract(1.0, wgt, out=wgt), w.mu, sweeps,
+                                     state.i_out)
     return replace(state, i_in=i_in, i_out=i_out)
 
 
 def step(state: SegmentationState, image, g, model, w: EnergyWeights,
          cfg: DescentConfig) -> SegmentationState:
     """One outer iteration: approximant refresh, parameter step, phi step.
+
+    The returned state's ``phi_grad_rms`` is the :func:`band_rms` of the phi
+    gradient this step took, and without a model its ``velocity`` is the
+    phi step it accepted (None after a restart).
 
     The step uses the memo its state carries (``segment`` seeds one), so the
     fields of the phi the previous step accepted are not computed again; it
@@ -370,11 +396,43 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     gphi = grad_phi_total(state, image, g, model, w)
     gmax = float(np.max(np.abs(gphi)))
     dt = min(cfg.dt_phi, 0.5 / gmax) if gmax > 0 else cfg.dt_phi
-    state, _ = gate(state, e_base, lambda s: replace(state, phi=state.phi - s * dt * gphi))
+    rms = band_rms(gphi, state.phi, w.eps)
+    if model is not None:
+        state, _ = gate(state, e_base, lambda s: replace(state, phi=state.phi - s * dt * gphi))
+    else:
+        # heavy ball: MOMENTUM times the last accepted step, minus dt*gphi
+        gphi *= dt
+        if state.velocity is None:
+            move = np.negative(gphi, out=gphi)
+        else:
+            move = MOMENTUM * state.velocity
+            move -= gphi
+        del gphi
+
+        def trial_at(s):
+            v = move if s == 1.0 else s * move
+            return replace(state, phi=state.phi + v, velocity=v)
+
+        trial, e_trial = gate(state, e_base, trial_at)
+        # restart after a revert or a step that raised the energy
+        state = replace(trial, velocity=None) if trial is state or e_trial > e_base else trial
 
     bd = evaluate(state, image, g, model, w)
     # a new list, so the caller's state keeps its own trace
-    return replace(state, iter=state.iter + 1, trace=[*state.trace, bd])
+    return replace(state, iter=state.iter + 1, trace=[*state.trace, bd], phi_grad_rms=rms)
+
+
+def band_rms(gphi: np.ndarray, phi: np.ndarray, eps: float) -> float:
+    """RMS of gphi over the band |phi| < 3 eps around the contour.
+
+    NaN if the band is empty and inf if the sum of squares overflows, so
+    neither is below a positive threshold.
+    """
+    g = gphi[np.abs(phi) < 3.0 * eps]
+    if g.size == 0:
+        return float("nan")
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.dot(g, g) / g.size))
 
 
 def default_init_phi(shape) -> np.ndarray:
@@ -410,31 +468,30 @@ def init_state(image: np.ndarray, model: Optional[ShapeModel],
 
 def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
             cfg: DescentConfig) -> SegmentationState:
-    """Run the descent until max_iters or sustained relative stagnation."""
+    """Run the descent until the contour is stationary or for max_iters steps.
+
+    The run stops after the first step whose phi gradient has a band RMS
+    (:func:`band_rms`) below STATIONARY_RMS; ``stop_reason`` says which
+    ending it reached.
+    """
     image = field.as_field(image)
     check_model_grid(model, image)
     g = energy.edge_indicator(image, w.eta, w.sigma)
     state = init_state(image, model, w)
+    reason = "max_iters"
     if cfg.max_iters == 0:
-        return state
+        return replace(state, stop_reason=reason)
     # one memo for the whole run: each step starts from the fields the last one left
     state = replace(state, _memo={})
-    prev = evaluate(state, image, g, model, w).total
-    flat = 0
     # the run's records; each step gets a state without them, so it copies no history
     trace = []
     for _ in range(cfg.max_iters):
         state = step(replace(state, trace=[]), image, g, model, w, cfg)
         trace += state.trace
-        cur = trace[-1].total
-        if abs(prev - cur) < cfg.tol * max(abs(prev), 1.0):
-            flat += 1
-            if flat >= 20:
-                break
-        else:
-            flat = 0
-        prev = cur
-    return replace(state, trace=trace, _memo=None)
+        if state.phi_grad_rms < STATIONARY_RMS:
+            reason = "stationary"
+            break
+    return replace(state, trace=trace, stop_reason=reason, _memo=None)
 
 
 def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:

@@ -115,11 +115,12 @@ def gaussian_convolve(f: np.ndarray, sigma: float) -> np.ndarray:
 def bilinear_geometry(shape, x, y):
     """Where :func:`bilinear_gather` reads to sample a field of ``shape`` at (x, y).
 
-    Returns (beyond, i00, dx, dy, fx, fy): the mask of coordinates outside
-    [0, w-1] x [0, h-1], the index of each sample's upper-left corner in the
-    raveled field, the offsets of its right and lower neighbours (0 on a
-    1-wide axis) and the fractions toward them, each of the shape x and y
-    broadcast to. None of it depends on the field's values, so one geometry
+    Returns (beyond, i00, dx, dy, fx, fy, wx0, wy0): the mask of coordinates
+    outside [0, w-1] x [0, h-1], the index of each sample's upper-left corner
+    in the raveled field, the offsets of its right and lower neighbours (0 on
+    a 1-wide axis), the fractions toward them and the complementary weights
+    1 - fx and 1 - fy of the left and upper corners, each of the shape x and
+    y broadcast to. None of it depends on the field's values, so one geometry
     serves every field of that shape.
 
     Each axis is worked out at its own coordinates' shape and broadcast only
@@ -135,9 +136,13 @@ def bilinear_geometry(shape, x, y):
     y0 *= w
     i00 = np.empty(full, dtype=np.intp)
     np.add(y0, x0, out=i00, casting="unsafe")
-    # the fractions as full arrays, which the gather's products read contiguously
-    fx, fy = (f if f.shape == full else np.broadcast_to(f, full).copy() for f in (fx, fy))
-    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy
+    # free the corners before the complements are made: a warp geometry is
+    # built while the cached one is still held, near a model step's allocation peak
+    del x0, y0
+    # the weights as full arrays, which the gather's products read contiguously
+    fx, fy, wx0, wy0 = (f if f.shape == full else np.broadcast_to(f, full).copy()
+                        for f in (fx, fy, 1 - fx, 1 - fy))
+    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy, wx0, wy0
 
 
 def _axis_geometry(c, n):
@@ -159,10 +164,8 @@ def _axis_geometry(c, n):
 
 def bilinear_gather(f: np.ndarray, geometry, outside: float) -> np.ndarray:
     """Bilinear samples of ``f`` at a :func:`bilinear_geometry`, ``outside`` beyond the domain."""
-    beyond, i00, dx, dy, fx, fy = geometry
+    beyond, i00, dx, dy, fx, fy, wx0, wy0 = geometry
     flat = f.ravel()
-    wx0 = 1 - fx
-    wy0 = 1 - fy
     # (f00*wx0)*wy0 + (f10*fx)*wy0 + (f01*wx0)*fy + (f11*fx)*fy, accumulated in
     # place, reading flat[i00 + off] as flat[off:].take(i00); every index is in
     # range by construction, and mode="wrap" skips the default mode's range check

@@ -46,12 +46,13 @@ def reference_bilinear_geometry(shape, x, y):
     fy -= y0
     y0 *= w
     y0 += x0
-    return beyond, y0.astype(np.intp), 1 if w > 1 else 0, w if h > 1 else 0, fx, fy
+    return (beyond, y0.astype(np.intp), 1 if w > 1 else 0, w if h > 1 else 0, fx, fy,
+            1 - fx, 1 - fy)
 
 
 def assert_same_geometry(got, want):
     """Two bilinear geometries agree in every component's shape, dtype and bytes."""
-    assert len(got) == len(want) == 6
+    assert len(got) == len(want) == 8
     for g, r in zip(got, want):
         g, r = np.asarray(g), np.asarray(r)
         assert g.shape == r.shape and g.dtype == r.dtype and g.tobytes() == r.tobytes()

@@ -199,7 +199,7 @@ class TestSegmentCommand:
         for out in (out1, out2):
             assert run_cli(["segment", "--image", str(img_p),
                             "--config", str(cfg_p), "--out-dir", str(out)]) == 0
-        assert "10 iterations" in capsys.readouterr().out
+        assert "10 iterations (max_iters)" in capsys.readouterr().out
         names = ["phi.sfld", "contours.csv", "overlay.pgm", "trace.csv", "config.txt"]
         for name in names:
             assert (out1 / name).exists()

@@ -260,8 +260,8 @@ class TestBilinearGeometryReference:
         got = field.bilinear_geometry((8, 13), x, y)
         assert_same_geometry(got, reference_bilinear_geometry((8, 13), x, y))
         row = field.bilinear_geometry((8, 13), x[:1], y[:, :1])
-        assert row[4].shape == row[5].shape == (5, 6)
-        assert row[4].flags.c_contiguous and row[5].flags.c_contiguous
+        for a in row[4:]:     # the fractions and their complements
+            assert a.shape == (5, 6) and a.flags.c_contiguous
 
 
 class TestBilinearNan:

@@ -350,7 +350,7 @@ class TestWarp:
         first = shape_prior.warp(f, pose, 0.0)
         geometry = shape_prior._warp_geometry(f.shape, pose.as_vector().tobytes())
         arrays = [a for a in geometry if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4
+        assert len(arrays) == 6
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0, 0] = a[0, 1]
