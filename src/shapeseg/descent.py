@@ -158,7 +158,7 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         f2w = energy.f2_weight(g, pw, w)
         del pw
         phi = state.phi
-        m, d, _, _ = _fields(state, "phi", energy.phi_terms, phi, g, w)
+        m, d = _fields(state, "phi", energy.phi_terms, phi, g, w)[:2]
         # each term in a buffer of its own, with the operations of the written-out
         # formula in its order; m and d are the memo's and stay untouched
         # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m

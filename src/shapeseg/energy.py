@@ -103,14 +103,16 @@ def dirac_eps(z, eps: float):
     """Smooth Dirac: exp(-(z/eps)^2) / (eps*sqrt(pi)); exact derivative of heaviside_eps.
 
     A result below the smallest normal float is flushed to exactly 0; every
-    other result, NaN included, is the formula's.
+    other result, NaN included, is the formula's. A z whose square overflows
+    gets the exact limit 0, with no overflow warning.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    # exp(-s^2) is exactly 0.0 from |s| = 28 on, so clipping s there changes
-    # no value and keeps s^2 from overflowing when |z| is huge
-    s = np.asarray(np.clip(np.asarray(z, dtype=np.float64) / eps, -28.0, 28.0))
-    s *= s
+    # s^2 (or z/eps) overflowing to inf lies above the run threshold below, so
+    # it skips exp and keeps the 0 that exp(-inf) would give
+    with np.errstate(over="ignore"):
+        s = np.asarray(np.asarray(z, dtype=np.float64) / eps)
+        s *= s
     # exp is slow where its result is subnormal, so it runs only up to a hair
     # beyond the s^2 = -log(tiny*eps*sqrt(pi)) where the result leaves the
     # normal range (and on NaN, which fails every comparison)
@@ -207,15 +209,26 @@ def fit_terms(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
 
 
 def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
-    """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3).
+    """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3, F2).
 
-    F1 is the sum over pixels of (|grad phi| - 1)^2.
+    F1 is the sum over pixels of (|grad phi| - 1)^2, and F2 is the prior-free
+    one, the sum of (xi*g)*dirac(phi)*|grad phi| in the order
+    :func:`breakdown` multiplies a weight by them.
     """
+    if phi.shape != g.shape:
+        raise ValueError("field dimensions differ")
     d = dirac_eps(phi, w.eps)
     m = smooth_grad_magnitude(phi)
     dev = m - 1.0
     dev *= dev
-    return m, d, float(np.sum(dev)), energy_f3(phi, g, w)
+    f1 = float(np.sum(dev))
+    # F2 in F1's buffer, free once F1 is summed, and freed before F3's temporaries
+    np.multiply(w.xi, g, out=dev)
+    dev *= d
+    dev *= m
+    f2 = float(np.sum(dev))
+    del dev
+    return m, d, f1, energy_f3(phi, g, w), f2
 
 
 def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
@@ -226,16 +239,18 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
     I_in inside the prior region H_eps(-prior_warped) (negative inside) and
     I_out outside it, plus zeta times the prior's contour length. The total
     is (alpha/2)*F1 + F2 + beta*F3 + nu*F4. ``prior_warped`` of None selects
-    the prior-free reduction, and ``fits`` is then unused.
+    the prior-free reduction: F2 is then the one ``phi_t`` carries, F4 is 0,
+    ``fits`` is unused and nothing touches a field.
     """
-    m, d, f1, f3 = phi_t
-    # f2_weight's array is fresh; d and m may be the memo's and stay untouched
-    f2w = f2_weight(g, prior_warped, w)
-    f2w *= d
-    f2w *= m
-    f2 = float(np.sum(f2w))
+    m, d, f1, f3, f2 = phi_t
     f4 = 0.0
     if prior_warped is not None:
+        # f2_weight's array is fresh; d and m may be the memo's and stay untouched
+        f2w = f2_weight(g, prior_warped, w)
+        f2w *= d
+        f2w *= m
+        f2 = float(np.sum(f2w))
+        del f2w
         fit_in, fit_out = fits
         if fit_in.shape != prior_warped.shape:
             raise ValueError("field dimensions differ")

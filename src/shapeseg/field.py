@@ -40,15 +40,24 @@ def _check_differentiable(f: np.ndarray) -> None:
 def grad(f: np.ndarray):
     """Forward-difference gradient (gx, gy) with zero last column/row.
 
+    The x-differences are one contiguous subtraction over the raveled grid,
+    which also pairs each row's end with the next row's start; those entries
+    are then overwritten with the zero column. An overflow gives +-inf and
+    inf - inf gives NaN without a warning, since one could name an entry that
+    no output holds.
+
     Returns
     -------
-    (gx, gy) : pair of arrays with the same shape as ``f``.
+    (gx, gy) : pair of C-ordered arrays with the shape and dtype of ``f``.
     """
     _check_differentiable(f)
-    gx = np.empty_like(f)
-    gy = np.empty_like(f)
-    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
-    np.subtract(f[1:], f[:-1], out=gy[:-1])
+    w = f.shape[1]
+    flat = f.ravel()        # C order: a copy only for a non-contiguous f
+    gx = np.empty(f.shape, f.dtype)
+    gy = np.empty(f.shape, f.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(flat[1:], flat[:-1], out=gx.reshape(-1)[:-1])
+        np.subtract(flat[w:], flat[:-w], out=gy.reshape(-1)[:-w])
     gx[:, -1] = 0
     gy[-1] = 0
     return gx, gy
@@ -65,17 +74,28 @@ def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 
     The last column of ``vx`` and last row of ``vy`` never enter (grad puts
     zeros there), matching the standard TV divergence stencil.
+
+    The result is C-ordered with the dtype of ``vx``, and each pixel is
+    (0 + x-part) + y-part, so no float result is -0.0. As in :func:`grad`,
+    the x-differences are one subtraction over the raveled grid whose
+    row-crossing entries are overwritten, and no overflow warns.
     """
     if vx.shape != vy.shape:
         raise ValueError(f"component shapes differ: {vx.shape} vs {vy.shape}")
     _check_differentiable(vx)
-    d = np.zeros_like(vx)
-    d[:, 0] += vx[:, 0]
-    d[:, 1:-1] += vx[:, 1:-1] - vx[:, :-2]
-    d[:, -1] += -vx[:, -2]
-    d[0, :] += vy[0, :]
-    d[1:-1, :] += vy[1:-1, :] - vy[:-2, :]
-    d[-1, :] += -vy[-2, :]
+    d = np.empty(vx.shape, vx.dtype)
+    flat = vx.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(flat[1:], flat[:-1], out=d.reshape(-1)[1:])
+        d[:, 0] = vx[:, 0]
+        # through a contiguous temporary: NumPy 2.4's negative with a strided
+        # out reads a column of an 8-wide float64 grid as if it were a row
+        d[:, -1] = -vx[:, -2]
+        # the 0 + x-part (-0.0 becomes 0.0), in place; an integer 0 keeps integer dtypes
+        d += 0
+        d[0, :] += vy[0, :]
+        d[1:-1, :] += vy[1:-1, :] - vy[:-2, :]
+        d[-1, :] += -vy[-2, :]
     return d
 
 

@@ -331,7 +331,9 @@ class TestBreakdown:
         f1, f3 = (float(v) for v in r.uniform(0, 1e3, size=2))
         w = EnergyWeights(**{k: float(r.uniform(0.1, 3.0))
                              for k in ("alpha", "xi", "gamma", "beta", "nu", "zeta")})
-        bd = energy.breakdown((m, d, f1, f3), (fit_in, fit_out), g, prior, w)
+        # phi_terms' prior-free F2 is not the F2 of a breakdown with a prior
+        f2_free = float(r.uniform(0, 1e3))
+        bd = energy.breakdown((m, d, f1, f3, f2_free), (fit_in, fit_out), g, prior, w)
         f2 = float(np.sum((w.xi * g + 0.5 * w.gamma * prior ** 2) * d * m))
         h_in = energy.heaviside_eps(-prior, w.eps)
         f4 = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
@@ -339,6 +341,43 @@ class TestBreakdown:
         total = 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4
         assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
             [v.hex() for v in (f1, f2, f3, f4, total)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_prior_free_takes_f2_from_phi_terms(self, seed):
+        # without a prior, breakdown reads no field: F2 is phi_t's, F4 is 0
+        r = np.random.default_rng(seed)
+        f1, f3, f2 = (float(v) for v in r.uniform(0, 1e3, size=3))
+        w = EnergyWeights(**{k: float(r.uniform(0.1, 3.0)) for k in ("alpha", "beta", "nu")})
+        bd = energy.breakdown((None, None, f1, f3, f2), None, None, None, w)
+        total = 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * 0.0
+        assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
+            [v.hex() for v in (f1, f2, f3, 0.0, total)]
+
+
+class TestPhiTerms:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("shape", [(2, 2), (7, 6), (24, 20)])
+    def test_matches_written_out_operation_order(self, seed, shape):
+        # random fields rather than an SDF, so that a re-associated product or
+        # sum changes some bit; phi of a few eps keeps most Dirac weights normal
+        r = np.random.default_rng(seed)
+        phi = r.normal(scale=3.0, size=shape)
+        g = r.uniform(0.01, 1.0, size=shape)
+        w = EnergyWeights(xi=float(r.uniform(0.1, 10.0)), eps=float(r.uniform(0.5, 3.0)))
+        m, d, f1, f3, f2 = energy.phi_terms(phi, g, w)
+        gx, gy = field.grad(phi)
+        want_m = np.sqrt(gx * gx + gy * gy + energy.KAPPA * energy.KAPPA)
+        want_d = energy.dirac_eps(phi, w.eps)
+        assert m.tobytes() == want_m.tobytes() and d.tobytes() == want_d.tobytes()
+        assert f1.hex() == float(np.sum((want_m - 1.0) ** 2)).hex()
+        assert f3.hex() == energy.energy_f3(phi, g, w).hex()
+        assert f2.hex() == float(np.sum(w.xi * g * want_d * want_m)).hex()
+        # the same F2 as a breakdown with the prior-free weight built separately
+        assert f2.hex() == float(np.sum(energy.f2_weight(g, None, w) * d * m)).hex()
+
+    def test_rejects_mismatched_edge_field(self):
+        with pytest.raises(ValueError, match="field dimensions differ"):
+            energy.phi_terms(np.zeros((4, 4)), np.ones((4, 5)), W)
 
 
 class TestTotalEnergy:

@@ -97,6 +97,108 @@ class TestDivergence:
             field.divergence(np.zeros((4, 4)), np.zeros((4, 5)))
 
 
+def _grad_2d_slices(f):
+    """grad as written with 2-D slice differences, the reference for its raveled form."""
+    gx = np.empty_like(f)
+    gy = np.empty_like(f)
+    np.subtract(f[:, 1:], f[:, :-1], out=gx[:, :-1])
+    np.subtract(f[1:], f[:-1], out=gy[:-1])
+    gx[:, -1] = 0
+    gy[-1] = 0
+    return gx, gy
+
+
+def _divergence_2d_slices(vx, vy):
+    """divergence as written with 2-D slice differences added into zeros."""
+    d = np.zeros_like(vx)
+    d[:, 0] += vx[:, 0]
+    d[:, 1:-1] += vx[:, 1:-1] - vx[:, :-2]
+    d[:, -1] += -vx[:, -2]
+    d[0, :] += vy[0, :]
+    d[1:-1, :] += vy[1:-1, :] - vy[:-2, :]
+    d[-1, :] += -vy[-2, :]
+    return d
+
+
+def _layouts(shape, dtype, r):
+    """Arrays of ``shape`` and ``dtype`` as C-ordered, Fortran-ordered and strided views."""
+    h, w = shape
+    size = (3 * max(shape), 3 * max(shape))
+    if np.issubdtype(dtype, np.floating):
+        big = np.finfo(dtype).max
+        specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, big, -big, 3.0],
+                            dtype=dtype)
+        base = r.choice(specials, size=size)
+    else:
+        info = np.iinfo(dtype)
+        base = r.integers(info.min, info.max, size=size, dtype=dtype, endpoint=True)
+    c = np.ascontiguousarray(base[:h, :w])
+    return {"C": c, "F": np.asfortranarray(c), "strided": base[1::2, ::3][:h, :w],
+            "reversed": base[h - 1::-1, w - 1::-1], "transposed": base[::3, 1::2][:w, :h].T}
+
+
+class TestGradDivergenceLayout:
+    """grad and divergence match their 2-D slice forms byte for byte in every layout.
+
+    Both return C-ordered arrays of the input's dtype. Row length 8 puts a
+    column of a float64 grid at a 64-byte stride.
+    """
+
+    SHAPES = [(2, 2), (2, 8), (8, 2), (2, 5), (5, 2), (6, 8)]
+    DTYPES = [np.float64, np.float32, np.int64, np.int32, np.uint8]
+
+    @staticmethod
+    def _same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_grad(self, shape, dtype):
+        r = np.random.default_rng(7)
+        for _ in range(4):
+            for f in _layouts(shape, dtype, r).values():
+                before = f.tobytes()
+                # inf - inf and overflows warn in the reference; the bits are compared
+                with np.errstate(all="ignore"):
+                    want = _grad_2d_slices(f)
+                    got = field.grad(f)
+                assert f.tobytes() == before
+                for g, ref in zip(got, want):
+                    self._same(g, ref)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_divergence(self, shape, dtype):
+        r = np.random.default_rng(11)
+        for _ in range(4):
+            vxs, vys = _layouts(shape, dtype, r), _layouts(shape, dtype, r)
+            # each layout of vx against another layout of vy
+            for vx, vy in zip(vxs.values(), [*vys.values()][1:] + [*vys.values()][:1]):
+                with np.errstate(all="ignore"):
+                    want = _divergence_2d_slices(vx, vy)
+                    got = field.divergence(vx, vy)
+                self._same(got, want)
+
+    @pytest.mark.parametrize("kind", ["F", "strided", "reversed", "transposed"])
+    def test_outputs_are_c_ordered(self, kind):
+        f = _layouts((6, 8), np.float64, np.random.default_rng(3))[kind]
+        with np.errstate(all="ignore"):
+            out = (*field.grad(f), field.divergence(f, f))
+        assert all(a.flags.c_contiguous for a in out)
+
+    def test_silent_on_row_crossing_overflow(self, recwarn):
+        # the first row ends at 1e308 and the next starts at -1e308: the only
+        # overflowing difference crosses rows, and no output holds it
+        f = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        gx, gy = field.grad(f)
+        d = field.divergence(f, np.zeros_like(f))
+        assert not recwarn.list, [str(w.message) for w in recwarn.list]
+        assert gx.tolist() == [[1e308, 0.0], [1e308, 0.0]]
+        assert gy.tolist() == [[-1e308, -1e308], [0.0, 0.0]]
+        assert d.tolist() == [[0.0, 0.0], [-1e308, 1e308]]
+
+
 class TestGaussianConvolve:
     def test_deviation_whose_square_overflows_is_no_smoothing(self):
         # the smallest positive variance: (t/sigma)**2 overflows off the centre
