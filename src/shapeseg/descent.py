@@ -27,6 +27,7 @@ contour, since the distance penalty's far-field relaxation keeps it moving
 long after the contour has settled.
 """
 
+import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional
 
@@ -60,6 +61,13 @@ class DescentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
+        # a bool passes the bounds below but would be written as True, and a
+        # float count as 3.0, neither of which a config reads back
+        for name in ("dt_phi", "tol"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer")
         # chained comparisons are False for NaN, so NaN fails every check
         if not 0 < self.dt_phi < np.inf:
             raise ValueError("dt_phi must be positive and finite")
@@ -302,13 +310,13 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 
     jp, wp, imp, inside = map(crop, (warm, wgt, image, np.broadcast_to(1.0, (h, w))))
     a, last = p + 1, bh * p + bw        # the box's first and last pixel
-    n = (last - a) // 2 + 1     # per colour; an odd span gains one index, never written
+    n = (last - a) // 2 + 1     # per colour; an odd span gains one index, a pad kept as is
 
     def at(buf, st, d=0):
         return buf[st + d:st + d + 2 * n:2]
 
     colours = []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c in (0, 1):        # red ((x + y) even), then black
             st = a + (a + x0 + y0 + c) % 2
             # the weights of the pixel, its left and its upper neighbour
@@ -319,7 +327,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             pos = np.multiply(diag, at(inside, st)) > 0
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
-            colours.append((views, wg * at(imp, st), wg, wl, wu, diag, pos))
+            # the entries a sweep never changes, with their start values
+            keep = np.flatnonzero(~pos)
+            colours.append((views, wg * at(imp, st), wg, wl, wu, diag, keep, views[0][keep]))
         # the sweeps read only the per-colour copies: free the cropped inputs, then
         # take two work arrays for the right-hand side, shared by both colours
         del wp, imp, inside
@@ -330,7 +340,7 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
         for k in range(1, sweeps + 1):
             if k == check:
                 before = black.tobytes()
-            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
+            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, keep, kept in colours:
                 # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
                 np.add(jr, jd, out=rhs)
                 rhs *= wg
@@ -338,7 +348,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
                 rhs += np.multiply(wu, ju, out=t)
                 rhs *= mu
                 rhs += wi
-                np.divide(rhs, diag, out=j, where=pos)
+                # the whole slice, then the entries with diag <= 0 (and the pads) put back
+                np.divide(rhs, diag, out=j)
+                j[keep] = kept
             if k == check:
                 if black.tobytes() == before:
                     break

@@ -18,7 +18,7 @@ discrete sums.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -54,6 +54,11 @@ class EnergyWeights:
     eps: float = 1.5       # Heaviside/Dirac regularization width
 
     def __post_init__(self):
+        # a bool passes the bounds below but would be written as True, which
+        # no config reads back
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be a number, not a bool")
         # chained comparisons are False for NaN, so NaN fails every check
         for name in ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps"):
             if not 0 < getattr(self, name) < np.inf:

@@ -139,45 +139,39 @@ def bilinear_geometry(shape, x, y):
     outside [0, w-1] x [0, h-1], the index of each sample's upper-left corner
     in the raveled field, the offsets of its right and lower neighbours (0 on
     a 1-wide axis), the fractions toward them and the complementary weights
-    1 - fx and 1 - fy of the left and upper corners, each of the shape x and
-    y broadcast to. None of it depends on the field's values, so one geometry
+    1 - fx and 1 - fy of the left and upper corners. The mask and the index
+    have the shape x and y broadcast to; fx and wx0 keep the shape of x, and
+    fy and wy0 that of y, so an x row and a y column (an axis-aligned grid)
+    give a row and a column of weights, which the gather's products
+    broadcast. None of it depends on the field's values, so one geometry
     serves every field of that shape.
-
-    Each axis is worked out at its own coordinates' shape and broadcast only
-    at the end, so an x row and a y column (an axis-aligned grid) cost one
-    pass over the grid per output, not one per step.
     """
     h, w = shape
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
-    full = np.broadcast_shapes(x.shape, y.shape)
     fx, x0, beyond_x = _axis_geometry(x, w)
     fy, y0, beyond_y = _axis_geometry(y, h)
     beyond = beyond_x | beyond_y
     y0 *= w
-    i00 = np.empty(full, dtype=np.intp)
-    np.add(y0, x0, out=i00, casting="unsafe")
-    # free the corners before the complements are made: a warp geometry is
-    # built while the cached one is still held, near a model step's allocation peak
+    i00 = np.add(y0, x0, out=np.empty(beyond.shape, dtype=np.intp))
+    # free the corners before the complements are made: on a rotated map each
+    # is a full grid
     del x0, y0
-    # the weights as full arrays, which the gather's products read contiguously
-    fx, fy, wx0, wy0 = (f if f.shape == full else np.broadcast_to(f, full).copy()
-                        for f in (fx, fy, 1 - fx, 1 - fy))
-    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy, wx0, wy0
+    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy, 1 - fx, 1 - fy
 
 
 def _axis_geometry(c, n):
-    """(fraction, corner as a float, beyond) of coordinates ``c`` on an axis of n samples."""
+    """(fraction, integer corner, beyond) of coordinates ``c`` on an axis of n samples."""
     # the fraction starts as a clamped copy of c, the corner as its floor, each in
     # its own buffer (0-d for one sample); a coordinate is beyond the axis if
     # clamping moved it, or if it is NaN
     f = np.clip(c, 0, n - 1, out=np.empty(c.shape))
     beyond = f != c
-    # fmin sends a NaN corner to the last one, so every index is in range; + 0.0
-    # turns floor(-0.0) into 0.0, so a sample at -0.0 keeps the fraction
-    # -0.0 - 0.0 = -0.0, as with integer corners
+    # fmin sends a NaN corner to the last one, so every corner is an integer in
+    # [0, max(n - 2, 0)] and casts exactly; the cast also turns floor(-0.0) into
+    # 0, so a sample at -0.0 keeps the fraction -0.0 - 0.0 = -0.0
     c0 = np.floor(f, out=np.empty(c.shape))
     np.fmin(c0, max(n - 2, 0), out=c0)
-    c0 += 0.0
+    c0 = c0.astype(np.intp)
     f -= c0
     return f, c0, beyond
 

@@ -7,7 +7,6 @@ pose (scale, rotation, translation) warps a synthesized shape onto the image
 grid.
 """
 
-import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -79,19 +78,20 @@ class Pose:
 
 
 def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
-    """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre."""
-    geometry = _warp_geometry(f.shape, pose.as_vector().tobytes())
-    return field.bilinear_gather(f, geometry, outside)
+    """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre.
 
-
-@functools.lru_cache(maxsize=1)
-def _warp_geometry(shape, pose_bytes: bytes):
-    """Read-only :func:`field.bilinear_geometry` of a pose's map on a grid of ``shape``.
-
-    The pose is keyed by its exact bytes (so 0.0 and -0.0 differ). The
-    descent warps runs of fields through one pose, so the last pose is kept.
+    Each call builds its own sampling geometry and keeps none of it.
     """
-    tau, theta, tx, ty = np.frombuffer(pose_bytes)
+    return field.bilinear_gather(f, _warp_geometry(f.shape, pose), outside)
+
+
+def _warp_geometry(shape, pose: Pose):
+    """:func:`field.bilinear_geometry` of a pose's map on a grid of ``shape``.
+
+    An unrotated map keeps its x coordinates a row and its y coordinates a
+    column, so its weights stay a row and a column too.
+    """
+    tau, theta, tx, ty = pose.as_vector()
     h, w = shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     # an x-offset row and a y-offset column
@@ -112,11 +112,7 @@ def _warp_geometry(shape, pose_bytes: bytes):
     hy *= tau
     hy += cy
     hy += ty
-    geometry = field.bilinear_geometry(shape, hx, hy)
-    for a in geometry:
-        if isinstance(a, np.ndarray):
-            a.flags.writeable = False
-    return geometry
+    return field.bilinear_geometry(shape, hx, hy)
 
 
 @dataclass

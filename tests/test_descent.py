@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import time
 from dataclasses import replace
 
@@ -990,7 +991,7 @@ class TestKernelsLeaveInputsUntouched:
         for _ in range(2):
             energy.breakdown(phi_t, fits, g, pw, self.W)
             assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
-        for _ in range(2):   # a fresh geometry, then the kept one
+        for _ in range(2):   # two warps through one pose
             shape_prior.warp(g, Pose(1.05, 0.1, 0.4, -0.3), 99.0)
             assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
 
@@ -1290,6 +1291,27 @@ class TestConfigKv:
     def test_bad_value_names_its_key(self, text, key):
         with pytest.raises(ValueError, match=f"^config key '{key}': "):
             descent.config_from_kv(text)
+
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, np.float64(3.0), "3", True, np.True_])
+    def test_non_integral_max_iters_rejected(self, max_iters):
+        # a float count was accepted and then made segment raise a bare TypeError,
+        # and a bool was written as True, which config_from_kv rejects
+        with pytest.raises(ValueError, match="^max_iters must be an integer$"):
+            DescentConfig(max_iters=max_iters)
+
+    @pytest.mark.parametrize("cls, name", [(EnergyWeights, f.name) for f in
+                                           dataclasses.fields(EnergyWeights)]
+                             + [(DescentConfig, "dt_phi"), (DescentConfig, "tol")])
+    @pytest.mark.parametrize("flag", [True, False, np.True_])
+    def test_bool_rejected_in_every_numeric_field(self, cls, name, flag):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool$"):
+            cls(**{name: flag})
+
+    def test_integral_max_iters_round_trips_and_runs(self):
+        cfg = DescentConfig(max_iters=np.int32(2))
+        assert descent.config_from_kv(descent.config_to_kv(EnergyWeights(), cfg))[1] == cfg
+        img = np.where(disk_mask(16, 16, 7.5, 7.5, 4.0), 200.0, 50.0)
+        assert descent.segment(img, None, EnergyWeights(), cfg).iter == 2
 
     @pytest.mark.parametrize("text", ["alpha=nan\ntol=nan\ndt_phi=inf\n",
                                       "tol=nan\n", "dt_phi=inf\n", "zeta=inf\n"])

@@ -356,14 +356,15 @@ class TestBilinearGeometryReference:
             assert_same_geometry(field.bilinear_geometry((h, w), a, b),
                                  reference_bilinear_geometry((h, w), a, b))
 
-    def test_fractions_are_full_contiguous_arrays(self, rng):
+    def test_unrotated_weights_are_a_row_and_a_column(self, rng):
         x = rng.uniform(-2, 14, size=(5, 6))
         y = rng.uniform(-2, 9, size=(5, 6))
         got = field.bilinear_geometry((8, 13), x, y)
         assert_same_geometry(got, reference_bilinear_geometry((8, 13), x, y))
-        row = field.bilinear_geometry((8, 13), x[:1], y[:, :1])
-        for a in row[4:]:     # the fractions and their complements
-            assert a.shape == (5, 6) and a.flags.c_contiguous
+        beyond, i00, _, _, fx, fy, wx0, wy0 = field.bilinear_geometry((8, 13), x[:1], y[:, :1])
+        assert beyond.shape == i00.shape == (5, 6)
+        assert fx.shape == wx0.shape == (1, 6)
+        assert fy.shape == wy0.shape == (5, 1)
 
 
 class TestBilinearNan:
