@@ -22,7 +22,9 @@ image, truth = synth.render(spec)
 # Default weights and schedule; the initial contour is a centered circle of
 # radius 32, well outside the true disk of radius 20. The run stops once the
 # energy's gradient on a band around the contour is close to zero
-# ("stationary"), or after 2000 steps ("max_iters").
+# ("stationary", after about 600 steps here), once a step from rest finds no
+# descent, so that every later step would repeat it ("stalled"), or after
+# 2000 steps ("max_iters").
 state = descent.segment(image, None, EnergyWeights(), DescentConfig())
 
 totals = [b.total for b in state.trace]

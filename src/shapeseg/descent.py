@@ -19,12 +19,18 @@ non-increasing up to the configured tolerance.
 Without a model the phi step is a heavy ball (Polyak): the Euler step plus
 MOMENTUM times the last accepted phi step, through the same gate, and the
 velocity restarts from zero after a revert or an accepted energy rise
-(O'Donoghue & Candes). With a model the phi step stays plain Euler: momentum
-doubled the occluded-arc scene's 30-step hidden-arc miss (1.21 to 2.47 px).
+(O'Donoghue & Candes). With a model the phi step stays plain Euler. Momentum
+there raises the occluded-arc scene's hidden-arc miss after 30 steps, but
+that rise is a transient on the way to the same converged contour: the model
+path waits for a benchmark that reads its quality at the run's stop rather
+than after 30 steps, and for a step small enough that the heavy ball stops
+there on every scene (ROADMAP.md, directions 1 and 9).
+
 A run stops once the RMS of dE/dphi on the band around the contour falls
 below STATIONARY_RMS: the relative energy change is no measure of the
 contour, since the distance penalty's far-field relaxation keeps it moving
-long after the contour has settled.
+long after the contour has settled. A prior-free run also stops once a phi
+step reverts from rest, since every later step would repeat it.
 """
 
 import numbers
@@ -49,7 +55,7 @@ FD_H = 1e-3
 # Gauss-Seidel sweeps per approximant refresh in ``step``, at most
 SWEEPS = 20
 # the prior-free phi step's heavy-ball weight on the last accepted step
-MOMENTUM = 0.9
+MOMENTUM = 0.93
 # ``segment`` stops once the band RMS of dE/dphi (see band_rms) is below this
 STATIONARY_RMS = 2e-4
 
@@ -64,8 +70,7 @@ class DescentConfig:
         # a bool passes the bounds below but would be written as True, and a
         # float count as 3.0, neither of which a config reads back
         for name in ("dt_phi", "tol"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
+            energy.check_real(name, getattr(self, name))
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError("max_iters must be an integer")
         # chained comparisons are False for NaN, so NaN fails every check
@@ -89,7 +94,7 @@ class SegmentationState:
     # the last accepted prior-free phi step, None after a restart (see step)
     velocity: Optional[np.ndarray] = dc_field(default=None, repr=False)
     # band_rms of the last step's phi gradient, and why segment stopped:
-    # "stationary" or "max_iters"
+    # "stationary", "stalled" or "max_iters" (see segment)
     phi_grad_rms: Optional[float] = None
     stop_reason: Optional[str] = None
     # fields reused within one segment run: {kind: (inputs, fields)}; see _fields
@@ -422,8 +427,12 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
         del gphi
 
         def trial_at(s):
-            v = move if s == 1.0 else s * move
-            return replace(state, phi=state.phi + v, velocity=v)
+            # the gate tries the half step only after dropping the full one, so the
+            # half can take move's buffer; a second step-sized array there can leave
+            # the heap in a layout that every later step trims and regrows (page faults)
+            if s != 1.0:
+                np.multiply(move, s, out=move)
+            return replace(state, phi=state.phi + move, velocity=move)
 
         trial, e_trial = gate(state, e_base, trial_at)
         # restart after a revert or a step that raised the energy
@@ -480,11 +489,15 @@ def init_state(image: np.ndarray, model: Optional[ShapeModel],
 
 def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
             cfg: DescentConfig) -> SegmentationState:
-    """Run the descent until the contour is stationary or for max_iters steps.
+    """Run the descent until the contour is stationary or stalled, or for max_iters steps.
 
     The run stops after the first step whose phi gradient has a band RMS
-    (:func:`band_rms`) below STATIONARY_RMS; ``stop_reason`` says which
-    ending it reached.
+    (:func:`band_rms`) below STATIONARY_RMS ("stationary"). Without a model
+    it also stops after a step that reverted phi having started with no
+    velocity ("stalled"): that step left a state the next one would map to
+    itself, bit for bit, until max_iters. With a model the approximants and
+    the shape and pose can still move, so a reverted phi step never ends the
+    run. ``stop_reason`` says which ending it reached.
     """
     image = field.as_field(image)
     check_model_grid(model, image)
@@ -498,10 +511,15 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     # the run's records; each step gets a state without them, so it copies no history
     trace = []
     for _ in range(cfg.max_iters):
+        prev = state
         state = step(replace(state, trace=[]), image, g, model, w, cfg)
         trace += state.trace
         if state.phi_grad_rms < STATIONARY_RMS:
             reason = "stationary"
+            break
+        # a revert hands back the very phi array it was given
+        if model is None and prev.velocity is None and state.phi is prev.phi:
+            reason = "stalled"
             break
     return replace(state, trace=trace, stop_reason=reason, _memo=None)
 

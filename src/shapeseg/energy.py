@@ -18,6 +18,7 @@ discrete sums.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -30,6 +31,15 @@ KAPPA = 1e-10
 # the smallest normal float64, below which dirac_eps flushes to 0, and its log
 _TINY = np.finfo(np.float64).tiny
 _LOG_TINY = math.log(_TINY)
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError, naming the field, unless value is a real number other than a bool."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool")
+    # a str, None or complex would reach the bounds checks and fail them with a bare TypeError
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
 
 
 @dataclass
@@ -57,8 +67,7 @@ class EnergyWeights:
         # a bool passes the bounds below but would be written as True, which
         # no config reads back
         for f in fields(self):
-            if isinstance(getattr(self, f.name), (bool, np.bool_)):
-                raise ValueError(f"{f.name} must be a number, not a bool")
+            check_real(f.name, getattr(self, f.name))
         # chained comparisons are False for NaN, so NaN fails every check
         for name in ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps"):
             if not 0 < getattr(self, name) < np.inf:

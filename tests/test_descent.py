@@ -690,6 +690,7 @@ class TestBacktrackingGate:
         monkeypatch.setattr(descent, "refresh_approximants", lambda st, *a: st)
         image = np.zeros_like(state.phi)
         out = descent.step(state, image, np.ones_like(image), model, W, self.CFG)
+        self.seen = seen
         assert len(seen) == len(totals) and next(script, None) is None
         # the trace records the accepted state, and that is the state step returns
         last = seen[-1]
@@ -732,6 +733,13 @@ class TestBacktrackingGate:
             assert out.velocity is None
         else:
             assert np.array_equal(out.velocity, scale * move)
+        if len(totals) == 2:
+            # the half trial takes the full trial's step array, halved in place, and
+            # the velocity handed in stays as it was
+            full, half = self.seen[1:3]
+            assert half.velocity is full.velocity
+        if with_velocity:
+            assert np.array_equal(v0, np.cos(phi0))
 
     @pytest.mark.parametrize("param_case", [FULL, HALF, REVERT])
     @pytest.mark.parametrize("phi_case", [FULL, HALF, REVERT])
@@ -797,15 +805,62 @@ class TestStationaryStop:
         state = descent.segment(self.IMAGE, None, self.W, DescentConfig(max_iters=iters))
         assert state.iter == iters and state.stop_reason == "max_iters"
 
-    def test_criterion_5_disk_stops_at_the_contour(self):
-        # plain gradient steps ran all 2000 steps on this disk and ended 1.30 px off it
+    @pytest.fixture(scope="class")
+    def criterion_5_run(self):
         img, _ = synth.render(synth.SceneSpec(width=128, height=128,
                                               shape=("disk", 63.5, 63.5, 20.0),
                                               fg=200.0, bg=50.0))
-        state = descent.segment(img, None, EnergyWeights(), DescentConfig())
+        return descent.segment(img, None, EnergyWeights(), DescentConfig())
+
+    def test_criterion_5_disk_stops_at_the_contour(self, criterion_5_run):
+        # plain gradient steps ran all 2000 steps on this disk and ended 1.30 px off it
+        state = criterion_5_run
         assert state.stop_reason == "stationary" and state.iter < 2000
         v = np.concatenate([c.vertices for c in contours.extract_contours(state.phi)])
         assert np.mean(np.abs(np.hypot(v[:, 0] - 63.5, v[:, 1] - 63.5) - 20.0)) <= 0.6
+
+    def test_criterion_5_disk_stops_within_700_steps(self, criterion_5_run):
+        # a heavy-ball weight of 0.9 took 943 steps here, 0.93 takes 606
+        assert criterion_5_run.stop_reason == "stationary" and criterion_5_run.iter < 700
+
+    @pytest.mark.parametrize("dt_phi", [0.5, 0.38])
+    def test_a_revert_from_rest_stops_the_run_as_stalled(self, dt_phi):
+        # criterion 6's scene without a model: these steps end in phi steps that
+        # revert from rest, after which every step repeated the last one, at a
+        # constant energy, until max_iters
+        img, _ = synth.render(synth.SceneSpec(width=128, height=128,
+                                              shape=("disk", 63.5, 63.5, 20.0),
+                                              occlusion=("arc", -np.pi / 6, np.pi / 6)))
+        w = EnergyWeights(alpha=2.0, beta=2.5, gamma=0.5)
+        cfg = DescentConfig(dt_phi=dt_phi, max_iters=600)
+        state = descent.segment(img, None, w, cfg)
+        assert state.stop_reason == "stalled" and state.iter < 300
+        assert state.velocity is None and state.trace[-1] == state.trace[-2]
+        g = energy.edge_indicator(img, w.eta, w.sigma)
+        out = descent.step(state, img, g, None, w, cfg)
+        assert out.phi.tobytes() == state.phi.tobytes() and out.velocity is None
+        assert _bits(out.trace[-1]) == _bits(state.trace[-1])
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_only_a_prior_free_revert_from_rest_stalls(self, monkeypatch, disk_model,
+                                                       with_model):
+        # a scripted step: accept (setting a velocity), revert, revert, ...; the
+        # first revert started with a velocity and the second from rest
+        def scripted(state, *args):
+            accept = state.iter == 0
+            phi = state.phi + 1.0 if accept else state.phi
+            return replace(state, phi=phi, velocity=np.ones_like(phi) if accept else None,
+                           iter=state.iter + 1, phi_grad_rms=1.0,
+                           trace=[energy.EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)])
+
+        monkeypatch.setattr(descent, "step", scripted)
+        model = disk_model if with_model else None
+        state = descent.segment(self.IMAGE, model, self.W, DescentConfig(max_iters=10))
+        if with_model:
+            assert state.stop_reason == "max_iters" and state.iter == 10
+        else:
+            assert state.stop_reason == "stalled" and state.iter == 3
+        assert len(state.trace) == state.iter
 
     def test_model_phi_step_has_no_momentum(self, monkeypatch, disk_model):
         # each model step moves phi by exactly today's rule phi - s*dt*gphi,
@@ -1231,6 +1286,11 @@ def _godunov_reference(phi0, iters):
     return phi
 
 
+# every float field of the two config classes
+NUMERIC_FIELDS = ([(EnergyWeights, f.name) for f in dataclasses.fields(EnergyWeights)]
+                  + [(DescentConfig, "dt_phi"), (DescentConfig, "tol")])
+
+
 class TestConfigKv:
     def test_roundtrip(self):
         w = EnergyWeights(alpha=0.1, gamma=0.5)
@@ -1299,13 +1359,19 @@ class TestConfigKv:
         with pytest.raises(ValueError, match="^max_iters must be an integer$"):
             DescentConfig(max_iters=max_iters)
 
-    @pytest.mark.parametrize("cls, name", [(EnergyWeights, f.name) for f in
-                                           dataclasses.fields(EnergyWeights)]
-                             + [(DescentConfig, "dt_phi"), (DescentConfig, "tol")])
+    @pytest.mark.parametrize("cls, name", NUMERIC_FIELDS)
     @pytest.mark.parametrize("flag", [True, False, np.True_])
     def test_bool_rejected_in_every_numeric_field(self, cls, name, flag):
         with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool$"):
             cls(**{name: flag})
+
+    @pytest.mark.parametrize("cls, name", NUMERIC_FIELDS)
+    @pytest.mark.parametrize("value, kind", [("0.2", "str"), (None, "NoneType"),
+                                             (1 + 0j, "complex"), (np.complex128(1), "complex128")])
+    def test_non_real_rejected_in_every_numeric_field(self, cls, name, value, kind):
+        # these reached the bounds checks and raised a bare TypeError there
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, not {kind}$"):
+            cls(**{name: value})
 
     def test_integral_max_iters_round_trips_and_runs(self):
         cfg = DescentConfig(max_iters=np.int32(2))
