@@ -281,6 +281,13 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     parity; so each colour is one stride-2 slice, and a sweep is two passes.
     An overflow is left for the energy's finiteness check to report.
 
+    The set-up holds the iterate's padded box, on which the sweeps run, and
+    per colour the weights of the pixel and of its left and upper neighbours,
+    the diagonal, the weighted image and the entries a sweep never changes.
+    The padded crops it builds them from are held only while needed: the
+    weight crop with a one-byte box-or-pad mask, then, once both are freed,
+    the image crop.
+
     ``sweeps`` is an upper bound: a sweep is a deterministic function of the
     iterate, so once one leaves it bit for bit unchanged, every later one
     would too, and the solve returns. Red reads only black and black only
@@ -308,12 +315,14 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     bh, bw = y1 - y0, x1 - x0
     p = bw + 3 - bw % 2
 
-    def crop(a):
-        buf = np.zeros((bh + 2, p))
+    def crop(a, dtype=np.float64):
+        buf = np.zeros((bh + 2, p), dtype)
         buf[1:-1, 1:bw + 1] = np.asarray(a)[y0:y1, x0:x1]
         return buf.ravel()
 
-    jp, wp, imp, inside = map(crop, (warm, wgt, image, np.broadcast_to(1.0, (h, w))))
+    # inside is 1 on the box and 0 on the pads, one byte a pixel; not bool, whose
+    # 1 + 1 would be a logical or
+    jp, wp, inside = crop(warm), crop(wgt), crop(np.broadcast_to(1, (h, w)), np.uint8)
     a, last = p + 1, bh * p + bw        # the box's first and last pixel
     n = (last - a) // 2 + 1     # per colour; an odd span gains one index, a pad kept as is
 
@@ -334,10 +343,15 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
             # the entries a sweep never changes, with their start values
             keep = np.flatnonzero(~pos)
-            colours.append((views, wg * at(imp, st), wg, wl, wu, diag, keep, views[0][keep]))
-        # the sweeps read only the per-colour copies: free the cropped inputs, then
-        # take two work arrays for the right-hand side, shared by both colours
-        del wp, imp, inside
+            colours.append((st, views, wg, wl, wu, diag, keep, views[0][keep]))
+        # the sweeps read only the per-colour copies: free the weight crop before
+        # the image is cropped, and the image crop once both colours have wg * image
+        del wp, inside, pos
+        imp = crop(image)
+        colours = [(views, wg * at(imp, st), wg, wl, wu, diag, keep, kept)
+                   for st, views, wg, wl, wu, diag, keep, kept in colours]
+        del imp
+        # two work arrays for the right-hand side, shared by both colours
         rhs, t = np.empty((2, n))
         # stop at the fixed point (see above): black's bytes before and after
         # sweeps 1, 4, 16, 64, ...
@@ -386,9 +400,15 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
 
     The step uses the memo its state carries (``segment`` seeds one), so the
     fields of the phi the previous step accepted are not computed again; it
-    never makes one, so a memo-less state computes every field afresh.
+    never makes one, so a memo-less state computes every field afresh. With a
+    model it first drops the memo's F4 fits, which belong to the approximants
+    the refresh replaces and could never be served again.
     """
     if model is not None:
+        if state._memo is not None:
+            # the memo's fits belong to the approximants being replaced: free them
+            # before the solves (refresh_approximants itself leaves the memo alone)
+            state._memo.pop("fit", None)
         state = refresh_approximants(state, image, model, w, SWEEPS)
     # the trial states below are replace()d from this one and share its memo
     e_base = evaluate(state, image, g, model, w).total

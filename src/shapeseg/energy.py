@@ -96,8 +96,9 @@ def heaviside_eps(z, eps: float):
     inflates region integrals by several percent of the domain size, which
     breaks the area oracles this regularization must satisfy.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # a chained comparison is False for NaN, so NaN fails it
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     # z/eps may overflow to +-inf, where the clip below gives the exact limit
     with np.errstate(over="ignore"):
         s = np.asarray(z, dtype=np.float64) / eps
@@ -120,8 +121,9 @@ def dirac_eps(z, eps: float):
     other result, NaN included, is the formula's. A z whose square overflows
     gets the exact limit 0, with no overflow warning.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # a chained comparison is False for NaN, so NaN fails it
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     # s^2 (or z/eps) overflowing to inf lies above the run threshold below, so
     # it skips exp and keeps the 0 that exp(-inf) would give
     with np.errstate(over="ignore"):
@@ -275,7 +277,10 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
         np.subtract(1.0, h_in, out=h_in)
         h_in *= fit_out
         fit += h_in
-        f4 = float(np.sum(fit)) + w.zeta * curve_length(prior_warped, w.eps)
+        f4 = float(np.sum(fit))
+        # both freed before the prior's curve length makes its own fields
+        del h_in, fit
+        f4 += w.zeta * curve_length(prior_warped, w.eps)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 

@@ -106,8 +106,9 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Sampled Gaussian truncated at radius ceil(3*sigma), normalized to sum 1."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    # a chained comparison is False for NaN, so NaN fails it
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     r = int(np.ceil(3.0 * sigma))
     t = np.arange(-r, r + 1, dtype=np.float64)
     # for a sigma below about 1e-154 the square overflows off the centre, where
@@ -176,14 +177,18 @@ def _axis_geometry(c, n):
     return f, c0, beyond
 
 
-def bilinear_gather(f: np.ndarray, geometry, outside: float) -> np.ndarray:
-    """Bilinear samples of ``f`` at a :func:`bilinear_geometry`, ``outside`` beyond the domain."""
+def bilinear_gather(f: np.ndarray, geometry, outside: float, out=None) -> np.ndarray:
+    """Bilinear samples of ``f`` at a :func:`bilinear_geometry`, ``outside`` beyond the domain.
+
+    The samples go into ``out`` when given, a contiguous array of the sample
+    shape and ``f``'s dtype, and into a new array otherwise.
+    """
     beyond, i00, dx, dy, fx, fy, wx0, wy0 = geometry
     flat = f.ravel()
     # (f00*wx0)*wy0 + (f10*fx)*wy0 + (f01*wx0)*fy + (f11*fx)*fy, accumulated in
     # place, reading flat[i00 + off] as flat[off:].take(i00); every index is in
     # range by construction, and mode="wrap" skips the default mode's range check
-    val = np.asarray(flat.take(i00, mode="wrap"))     # a 0-d array for one sample
+    val = np.asarray(flat.take(i00, out=out, mode="wrap"))     # 0-d for one sample
     val *= wx0
     val *= wy0
     t = np.empty_like(val)

@@ -80,13 +80,22 @@ class Pose:
 def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
     """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre.
 
-    Each call builds its own sampling geometry and keeps none of it.
+    Each call builds its own sampling geometry and keeps none of it. An
+    unrotated map's geometry is a row and a column, gathered in one piece. A
+    rotated map's is a full grid, so it is built and gathered one row half at
+    a time into one output, and at most half of it is held at once.
     """
-    return field.bilinear_gather(f, _warp_geometry(f.shape, pose), outside)
+    if pose.theta == 0.0:
+        return field.bilinear_gather(f, _warp_geometry(f.shape, pose), outside)
+    h = f.shape[0]
+    out = np.empty(f.shape, f.dtype)
+    for rows in (slice(0, h // 2), slice(h // 2, h)):
+        field.bilinear_gather(f, _warp_geometry(f.shape, pose, rows), outside, out=out[rows])
+    return out
 
 
-def _warp_geometry(shape, pose: Pose):
-    """:func:`field.bilinear_geometry` of a pose's map on a grid of ``shape``.
+def _warp_geometry(shape, pose: Pose, rows: slice = slice(None)):
+    """:func:`field.bilinear_geometry` of a pose's map on ``rows`` of a grid of ``shape``.
 
     An unrotated map keeps its x coordinates a row and its y coordinates a
     column, so its weights stay a row and a column too.
@@ -96,7 +105,7 @@ def _warp_geometry(shape, pose: Pose):
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     # an x-offset row and a y-offset column
     dx = np.arange(w, dtype=np.float64)[None, :] - cx
-    dy = np.arange(h, dtype=np.float64)[:, None] - cy
+    dy = np.arange(h, dtype=np.float64)[rows, None] - cy
     if theta == 0.0:
         # ct*dx - st*dy is exactly dx and st*dx + ct*dy exactly dy (neither is
         # ever -0.0), so hx stays a row and hy a column

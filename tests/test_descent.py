@@ -1153,6 +1153,25 @@ class TestMemoCarriedAcrossSteps:
             assert got.lam.tobytes() == want.lam.tobytes() and got.pose == want.pose
         assert got._memo is None
 
+    def test_model_step_solves_without_the_replaced_fits(self, monkeypatch, disk_model):
+        # the fits belong to the approximants being replaced, so the step drops
+        # them before the solver's set-up; its own evaluations fill the entry again
+        g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
+        memo = {}
+        state = replace(descent.init_state(self.IMAGE, disk_model, self.W), _memo=memo)
+        descent.evaluate(state, self.IMAGE, g, disk_model, self.W)
+        real, entered = descent.solve_smooth_approximant, []
+
+        def solve(*args):
+            entered.append("fit" in memo)
+            return real(*args)
+
+        monkeypatch.setattr(descent, "solve_smooth_approximant", solve)
+        for _ in range(2):
+            assert "fit" in memo
+            state = descent.step(state, self.IMAGE, g, disk_model, self.W, DescentConfig())
+        assert entered == [False] * 4
+
     def test_step_keeps_the_memo_it_is_handed(self):
         g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
         memo = {}

@@ -144,6 +144,13 @@ class TestHeavisideDirac:
         with pytest.raises(ValueError):
             energy.dirac_eps(0.0, -1.0)
 
+    @pytest.mark.parametrize("kernel", [energy.heaviside_eps, energy.dirac_eps])
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_eps_must_be_positive_and_finite(self, kernel, eps):
+        # a NaN or infinite eps used to return a field of NaN or of constants
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            kernel(np.linspace(-3.0, 3.0, 7), eps)
+
 
 class TestEdgeIndicator:
     def test_constant_image(self):

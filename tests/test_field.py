@@ -200,6 +200,12 @@ class TestGradDivergenceLayout:
 
 
 class TestGaussianConvolve:
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        # inf used to raise OverflowError, and NaN a ValueError from an int() cast
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            field.gaussian_kernel(sigma)
+
     def test_deviation_whose_square_overflows_is_no_smoothing(self):
         # the smallest positive variance: (t/sigma)**2 overflows off the centre
         assert np.array_equal(field.gaussian_kernel(np.sqrt(5e-324)), [0.0, 1.0, 0.0])

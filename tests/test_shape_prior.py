@@ -334,11 +334,48 @@ class TestWarp:
     @pytest.mark.parametrize("tau", [shape_prior.TAU_MIN, 1.0, 1.37, shape_prior.TAU_MAX])
     @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi, 1e-3, 0.7, -2.9])
     def test_geometry_matches_full_grid_formula(self, shape, tau, theta):
-        # unrotated maps (theta = 0) keep their weights a row and a column
+        # unrotated maps (theta = 0) keep their weights a row and a column; a row
+        # range is those rows of the whole grid's geometry, an empty one included
+        h = shape[0]
         for tx, ty in ((0.0, 0.0), (1e-3, -1e-3), (0.37, -2.6), (-13.25, 7.5)):
             pose = Pose(tau, theta, tx, ty)
-            got = shape_prior._warp_geometry(shape, pose)
-            assert_same_geometry(got, self._reference_geometry(shape, pose))
+            want = self._reference_geometry(shape, pose)
+            assert_same_geometry(shape_prior._warp_geometry(shape, pose), want)
+            full = np.shape(want[1])
+            for rows in (slice(0, h // 2), slice(h // 2, h), slice(1, h - 1)):
+                # the offsets are plain ints; every array is cut to the rows
+                want_rows = [a if np.ndim(a) == 0 else np.broadcast_to(a, full)[rows]
+                             for a in want]
+                assert_same_geometry(shape_prior._warp_geometry(shape, pose, rows), want_rows)
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 127])
+    @pytest.mark.parametrize("pose", [Pose(1.0, 0.7, 0.0, 0.0), Pose(1.37, -2.9, 0.37, -2.6),
+                                      Pose(shape_prior.TAU_MAX, 1e-3, -13.25, 7.5),
+                                      Pose(shape_prior.TAU_MIN, np.pi, 40.0, -90.0)])
+    def test_rotated_warp_in_row_halves_equals_one_gather(self, rng, h, pose):
+        # the row halves (one of them empty when h = 1) against one gather of the
+        # whole grid's geometry, with samples on and beyond the grid
+        for w in (1, 6, 128):
+            f = rng.normal(size=(h, w))
+            want = field.bilinear_gather(f, self._reference_geometry(f.shape, pose), 7.5)
+            got = shape_prior.warp(f, pose, 7.5)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _traced(call):
+        """(bytes kept beyond the result, peak bytes above the start) of call()."""
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = call()
+            now, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return now - before - out.nbytes, peak - before
 
     def test_warp_keeps_nothing_between_calls(self, rng):
         # one warp keeps no more than a few KiB traced beyond its result (a
@@ -347,17 +384,18 @@ class TestWarp:
         f, small = rng.normal(size=(128, 128)), rng.normal(size=(8, 8))
         for pose in (Pose(1.1, 0.0, 1.5, -2.0), Pose(1.1, 0.3, 1.5, -2.0)):
             shape_prior.warp(small, pose, 7.5)
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                out = shape_prior.warp(f, pose, 7.5)
-                kept = tracemalloc.get_traced_memory()[0] - before - out.nbytes
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            kept = self._traced(lambda: shape_prior.warp(f, pose, 7.5))[0]
             assert kept <= 4096, kept
+
+    def test_rotated_warp_peak_near_unrotated(self, rng):
+        # a rotated warp holds half its full-grid geometry at a time; in one piece
+        # its peak was about twice an unrotated warp's (948 against 470 KiB)
+        f, small = rng.normal(size=(128, 128)), rng.normal(size=(8, 8))
+        peaks = []
+        for pose in (Pose(1.1, 0.0, 1.5, -2.0), Pose(1.1, 0.3, 1.5, -2.0)):
+            shape_prior.warp(small, pose, 7.5)
+            peaks.append(self._traced(lambda: shape_prior.warp(f, pose, 7.5))[1])
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestSmdlFormat:
