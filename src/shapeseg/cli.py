@@ -80,7 +80,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_model(args) -> int:
-    masks = [io.read_pgm(p) > 127 for p in args.masks]
+    masks = [io.read_mask(p) for p in args.masks]
     sdfs = [shape_prior.sdf_from_mask(m) for m in masks]
     model = shape_prior.build_shape_model(sdfs, args.modes)
     shape_prior.write_smdl(model, args.out)

@@ -54,6 +54,8 @@ STEP_POSE = 2e-3
 FD_H = 1e-3
 # Gauss-Seidel sweeps per approximant refresh in ``step``, at most
 SWEEPS = 20
+# the largest phi time step; ``step`` caps it at 0.5 / max|dE/dphi|
+DT_PHI = 0.2
 # the prior-free phi step's heavy-ball weight on the last accepted step
 MOMENTUM = 0.93
 # ``segment`` stops once the band RMS of dE/dphi (see band_rms) is below this
@@ -62,20 +64,16 @@ STATIONARY_RMS = 2e-4
 
 @dataclass
 class DescentConfig:
-    dt_phi: float = 0.2
     max_iters: int = 2000
     tol: float = 1e-6
 
     def __post_init__(self):
         # a bool passes the bounds below but would be written as True, and a
         # float count as 3.0, neither of which a config reads back
-        for name in ("dt_phi", "tol"):
-            energy.check_real(name, getattr(self, name))
+        energy.check_real("tol", self.tol)
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
             raise ValueError("max_iters must be an integer")
         # chained comparisons are False for NaN, so NaN fails every check
-        if not 0 < self.dt_phi < np.inf:
-            raise ValueError("dt_phi must be positive and finite")
         if not 0 <= self.max_iters < np.inf:
             raise ValueError("max_iters must be finite and >= 0")
         if not 0 < self.tol < 1:
@@ -432,7 +430,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
 
     gphi = grad_phi_total(state, image, g, model, w)
     gmax = float(np.max(np.abs(gphi)))
-    dt = min(cfg.dt_phi, 0.5 / gmax) if gmax > 0 else cfg.dt_phi
+    dt = min(DT_PHI, 0.5 / gmax) if gmax > 0 else DT_PHI
     rms = band_rms(gphi, state.phi, w.eps)
     if model is not None:
         state, _ = gate(state, e_base, lambda s: replace(state, phi=state.phi - s * dt * gphi))
@@ -524,8 +522,6 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     g = energy.edge_indicator(image, w.eta, w.sigma)
     state = init_state(image, model, w)
     reason = "max_iters"
-    if cfg.max_iters == 0:
-        return replace(state, stop_reason=reason)
     # one memo for the whole run: each step starts from the fields the last one left
     state = replace(state, _memo={})
     # the run's records; each step gets a state without them, so it copies no history

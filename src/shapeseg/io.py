@@ -27,6 +27,18 @@ _HEADER_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 def read_pgm(path) -> np.ndarray:
     """Read a P2 (ASCII) or P5 (binary) PGM file into a float64 field."""
+    return _read_pgm(path)[0].astype(np.float64)
+
+
+def read_mask(path) -> np.ndarray:
+    """Read a PGM file as a binary mask: a pixel is inside when 2 * value > maxval."""
+    vals, maxval = _read_pgm(path)
+    # 2 * value > maxval, in integers that cannot overflow: value > maxval // 2
+    return vals > maxval // 2
+
+
+def _read_pgm(path):
+    """The samples of a P2 or P5 PGM file, as an integer (h, w) array, and its maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 2:
@@ -63,7 +75,7 @@ def read_pgm(path) -> np.ndarray:
         vals = np.frombuffer(raw, dtype=dtype)
     if vals.min() < 0 or vals.max() > maxval:
         raise PgmError(f"PGM sample outside [0, maxval={maxval}]")
-    return vals.reshape(h, w).astype(np.float64)
+    return vals.reshape(h, w), maxval
 
 
 def write_pgm(f: np.ndarray, path) -> None:

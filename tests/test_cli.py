@@ -97,6 +97,26 @@ class TestBuildModelCommand:
             files.append(out.read_bytes())
         assert files[0] == files[1]
 
+    @pytest.mark.parametrize("maxval", [1, 65535])
+    def test_mask_inside_is_above_half_of_maxval(self, tmp_path, maxval):
+        # a pixel was inside when above 127 whatever the maxval, so a binary mask
+        # with maxval 1 was all outside: exit 2, degenerate mask
+        def build(mv):
+            paths = []
+            for r in (8, 11):
+                inside = synth.truth_mask(synth.SceneSpec(
+                    width=32, height=32, shape=("disk", 15.5, 15.5, float(r))))
+                p = tmp_path / f"m{r}-{mv}.pgm"
+                p.write_text(f"P2\n32 32\n{mv}\n"
+                             + "\n".join(" ".join(map(str, row)) for row in inside * mv) + "\n")
+                paths.append(str(p))
+            out = tmp_path / f"model{mv}.smdl"
+            assert run_cli(["build-model", "--masks", *paths, "--modes", "1",
+                            "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        assert build(maxval) == build(255)
+
 
 class TestEnergyCommand:
     def test_matches_library_prior_free(self, tmp_path, capsys):
@@ -292,7 +312,7 @@ class TestExitCodes:
         run_cli(["synth", "--spec", str(scene), "--out-image", str(img_p),
                  "--out-truth", str(tmp_path / "t.pgm")])
         cfg = tmp_path / "nan.txt"
-        cfg.write_text("alpha=nan\ntol=nan\ndt_phi=inf\n")
+        cfg.write_text("alpha=nan\ntol=nan\n")
         capsys.readouterr()
         code = run_cli(["segment", "--image", str(img_p), "--config", str(cfg),
                         "--out-dir", str(tmp_path / "o")])
@@ -559,10 +579,11 @@ class TestExitCodes:
         code = run_cli([command, "--image", str(img_p), "--config", str(cfg_p), *argv])
         assert code == 0 and capsys.readouterr().err == ""
 
-    def test_retired_config_key_through_the_entry_point(self, tmp_path):
-        # a config file written before the schedule shrank to three keys
+    @pytest.mark.parametrize("key", ["step_lambda", "dt_phi"])
+    def test_retired_config_key_through_the_entry_point(self, tmp_path, key):
+        # a config file written before the schedule shrank to three keys, or to two
         img_p, _, cfg_p = self._energy_inputs(tmp_path)
-        cfg_p.write_text(cfg_p.read_text() + "step_lambda=0.5\n")
+        cfg_p.write_text(cfg_p.read_text() + f"{key}=0.5\n")
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
         proc = subprocess.run(
@@ -570,7 +591,7 @@ class TestExitCodes:
              "--image", str(img_p), "--config", str(cfg_p), "--out-dir", str(tmp_path / "run")],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
-        assert proc.stderr == "error: unknown config key 'step_lambda'\n"
+        assert proc.stderr == f"error: unknown config key '{key}'\n"
         assert proc.stdout == ""
 
     @staticmethod

@@ -637,11 +637,21 @@ class TestStepAndSegment:
         assert seen == [(i, 0) for i in range(5)]
         assert out.iter == 5 and len(out.trace) == 5
 
-    def test_max_iters_zero_returns_init(self):
-        img = self._disk_scene(size=32, r=8)
-        state = descent.segment(img, None, W, DescentConfig(max_iters=0))
-        assert state.iter == 0 and state.trace == []
-        assert np.array_equal(state.phi, descent.default_init_phi(img.shape))
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_max_iters_zero_returns_init(self, disk_model, with_model):
+        # no step runs: phi is the default circle, or with a model the mean prior
+        # at lambda = 0 and the identity pose
+        img = self._disk_scene(size=48, r=12)
+        model = disk_model if with_model else None
+        state = descent.segment(img, model, W, DescentConfig(max_iters=0))
+        assert state.iter == 0 and state.trace == [] and state.stop_reason == "max_iters"
+        if with_model:
+            assert np.array_equal(state.lam, np.zeros(model.p)) and state.pose == Pose()
+            want = descent.prior_field(model, np.zeros(model.p), Pose())
+        else:
+            assert state.lam is None and state.pose is None
+            want = descent.default_init_phi(img.shape)
+        assert state.phi.tobytes() == want.tobytes()
 
     def test_model_grid_mismatch_is_rejected(self, disk_model):
         img = np.full((40, 56), 100.0)
@@ -669,9 +679,12 @@ class TestBacktrackingGate:
 
     ``evaluate`` returns scripted totals, so the gate alone decides the result.
     The last total is the trace record's, taken on the state the gates accepted.
+    The step bound is set to a value of the test's own, so ``step`` must read
+    ``DT_PHI`` when it runs.
     """
 
-    GPHI = 0.25      # gmax 0.25: the CFL cap 0.5/gmax = 2 leaves dt = dt_phi
+    GPHI = 0.25      # gmax 0.25: the CFL cap 0.5/gmax = 2 leaves dt = DT
+    DT = 0.3
     GP = np.array([0.2, -0.1, 3.0, -2.0, 1.5, 0.5])
     CFG = DescentConfig()
 
@@ -683,6 +696,7 @@ class TestBacktrackingGate:
             seen.append(st)
             return energy.EnergyBreakdown(0.0, 0.0, 0.0, 0.0, next(script))
 
+        monkeypatch.setattr(descent, "DT_PHI", self.DT)
         monkeypatch.setattr(descent, "evaluate", scripted)
         monkeypatch.setattr(descent, "grad_phi_total",
                             lambda st, *a: np.full_like(st.phi, self.GPHI))
@@ -702,7 +716,7 @@ class TestBacktrackingGate:
     def _phi_after(self, phi0, scale):
         if scale is None:
             return phi0
-        return phi0 - scale * self.CFG.dt_phi * np.full_like(phi0, self.GPHI)
+        return phi0 - scale * self.DT * np.full_like(phi0, self.GPHI)
 
     @pytest.mark.parametrize("phi_case", [FULL, WITHIN_TOL, HALF, REVERT])
     def test_prior_free(self, monkeypatch, phi_case):
@@ -722,7 +736,7 @@ class TestBacktrackingGate:
         v0 = np.cos(phi0) if with_velocity else None
         out = self._step(monkeypatch, SegmentationState(phi=phi0.copy(), velocity=v0),
                          None, [100.0] + totals + [e_new])
-        move = -self.CFG.dt_phi * np.full_like(phi0, self.GPHI)
+        move = -self.DT * np.full_like(phi0, self.GPHI)
         if with_velocity:
             move += descent.MOMENTUM * v0
         if scale is None:
@@ -824,7 +838,7 @@ class TestStationaryStop:
         assert criterion_5_run.stop_reason == "stationary" and criterion_5_run.iter < 700
 
     @pytest.mark.parametrize("dt_phi", [0.5, 0.38])
-    def test_a_revert_from_rest_stops_the_run_as_stalled(self, dt_phi):
+    def test_a_revert_from_rest_stops_the_run_as_stalled(self, monkeypatch, dt_phi):
         # criterion 6's scene without a model: these steps end in phi steps that
         # revert from rest, after which every step repeated the last one, at a
         # constant energy, until max_iters
@@ -832,7 +846,8 @@ class TestStationaryStop:
                                               shape=("disk", 63.5, 63.5, 20.0),
                                               occlusion=("arc", -np.pi / 6, np.pi / 6)))
         w = EnergyWeights(alpha=2.0, beta=2.5, gamma=0.5)
-        cfg = DescentConfig(dt_phi=dt_phi, max_iters=600)
+        monkeypatch.setattr(descent, "DT_PHI", dt_phi)
+        cfg = DescentConfig(max_iters=600)
         state = descent.segment(img, None, w, cfg)
         assert state.stop_reason == "stalled" and state.iter < 300
         assert state.velocity is None and state.trace[-1] == state.trace[-2]
@@ -881,7 +896,7 @@ class TestStationaryStop:
             out = descent.step(state, self.IMAGE, g, disk_model, self.W, cfg)
             gphi = grads[-1]
             gmax = float(np.max(np.abs(gphi)))
-            dt = min(cfg.dt_phi, 0.5 / gmax)
+            dt = min(descent.DT_PHI, 0.5 / gmax)
             plain = [state.phi] + [state.phi - s * dt * gphi for s in (1.0, 0.5)]
             assert any(out.phi.tobytes() == p.tobytes() for p in plain)
             moved += out.phi.tobytes() != state.phi.tobytes()
@@ -1307,7 +1322,7 @@ def _godunov_reference(phi0, iters):
 
 # every float field of the two config classes
 NUMERIC_FIELDS = ([(EnergyWeights, f.name) for f in dataclasses.fields(EnergyWeights)]
-                  + [(DescentConfig, "dt_phi"), (DescentConfig, "tol")])
+                  + [(DescentConfig, "tol")])
 
 
 class TestConfigKv:
@@ -1330,7 +1345,7 @@ class TestConfigKv:
                              ("alpha", "xi", "gamma", "beta", "nu", "eta", "sigma", "eps")},
                           **{k: data.draw(st.floats(0.0, 1e300)) for k in ("mu", "zeta")})
         cfg = DescentConfig(
-            dt_phi=data.draw(pos), max_iters=data.draw(st.integers(0, 10 ** 9)),
+            max_iters=data.draw(st.integers(0, 10 ** 9)),
             tol=data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
         w2, c2 = descent.config_from_kv(descent.config_to_kv(w, cfg))
         assert w2 == w and c2 == cfg
@@ -1346,15 +1361,15 @@ class TestConfigKv:
             descent.config_from_kv("bogus=1\n")
 
     @pytest.mark.parametrize("key", ["step_lambda", "step_pose", "fd_h",
-                                     "inner_ms_iters", "record_every"])
+                                     "inner_ms_iters", "record_every", "dt_phi"])
     def test_retired_keys_are_unknown(self, key):
         with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
             descent.config_from_kv(f"{key}=0.5\n")
 
     def test_every_key_written(self):
         lines = descent.config_to_kv(EnergyWeights(), DescentConfig()).splitlines()
-        assert len(lines) == 13
-        assert [ln.split("=")[0] for ln in lines[-3:]] == ["dt_phi", "max_iters", "tol"]
+        assert len(lines) == 12
+        assert [ln.split("=")[0] for ln in lines[-2:]] == ["max_iters", "tol"]
 
     def test_malformed_line(self):
         with pytest.raises(ValueError, match="malformed"):
@@ -1398,8 +1413,8 @@ class TestConfigKv:
         img = np.where(disk_mask(16, 16, 7.5, 7.5, 4.0), 200.0, 50.0)
         assert descent.segment(img, None, EnergyWeights(), cfg).iter == 2
 
-    @pytest.mark.parametrize("text", ["alpha=nan\ntol=nan\ndt_phi=inf\n",
-                                      "tol=nan\n", "dt_phi=inf\n", "zeta=inf\n"])
+    @pytest.mark.parametrize("text", ["alpha=nan\ntol=nan\n",
+                                      "tol=nan\n", "tol=inf\n", "zeta=inf\n"])
     def test_non_finite_rejected(self, text):
         with pytest.raises(ValueError):
             descent.config_from_kv(text)

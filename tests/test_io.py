@@ -33,7 +33,8 @@ class TestPgm:
                                 elements=st.integers(0, maxval)))),
         st.booleans())
     def test_p2_and_p5_readers_property(self, tmp_path_factory, case, binary):
-        # every sample is read back unscaled, at any maxval, in both encodings
+        # every sample is read back unscaled, at any maxval, in both encodings, and
+        # as a mask a sample is inside when above half the maxval
         maxval, vals = case
         h, w = vals.shape
         head = b"%s\n# comment\n%d %d\n%d\n" % (b"P5" if binary else b"P2", w, h, maxval)
@@ -44,6 +45,7 @@ class TestPgm:
         p = tmp_path_factory.mktemp("pgm") / "a.pgm"
         p.write_bytes(head + body)
         assert np.array_equal(io.read_pgm(p), vals.astype(np.float64))
+        assert np.array_equal(io.read_mask(p), 2 * vals > maxval)
 
     def test_write_clamps(self, tmp_path):
         f = np.array([[-10.0, 300.0], [127.4, 127.6]])
