@@ -688,7 +688,7 @@ class TestBacktrackingGate:
     GP = np.array([0.2, -0.1, 3.0, -2.0, 1.5, 0.5])
     CFG = DescentConfig()
 
-    def _step(self, monkeypatch, state, model, totals):
+    def _step(self, monkeypatch, state, model, totals, gphi=GPHI):
         seen = []
         script = iter(totals)
 
@@ -699,7 +699,7 @@ class TestBacktrackingGate:
         monkeypatch.setattr(descent, "DT_PHI", self.DT)
         monkeypatch.setattr(descent, "evaluate", scripted)
         monkeypatch.setattr(descent, "grad_phi_total",
-                            lambda st, *a: np.full_like(st.phi, self.GPHI))
+                            lambda st, *a: np.full_like(st.phi, gphi))
         monkeypatch.setattr(descent, "grad_params", lambda *a: self.GP.copy())
         monkeypatch.setattr(descent, "refresh_approximants", lambda st, *a: st)
         image = np.zeros_like(state.phi)
@@ -754,6 +754,23 @@ class TestBacktrackingGate:
             assert half.velocity is full.velocity
         if with_velocity:
             assert np.array_equal(v0, np.cos(phi0))
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    @pytest.mark.parametrize("gphi", [GPHI, 6.0, -6.0, 0.0])
+    def test_phi_step_bound(self, monkeypatch, disk_model, gphi, with_model):
+        # dt = min(DT_PHI, 0.5 / max|gphi|), and DT_PHI on a zero gradient, so a
+        # full step moves no pixel of phi by more than half a unit
+        dt = min(self.DT, 0.5 / abs(gphi)) if gphi else self.DT
+        phi0 = smooth_phi(48, 48)
+        if with_model:
+            state = SegmentationState(phi=phi0.copy(), lam=np.zeros(2), pose=Pose(),
+                                      i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)))
+            totals = [100.0, 99.0, 98.0, 98.0]
+        else:
+            state, totals = SegmentationState(phi=phi0.copy()), [100.0, 99.0, 99.0]
+        out = self._step(monkeypatch, state, disk_model if with_model else None,
+                         totals, gphi)
+        assert np.array_equal(out.phi, phi0 - dt * np.full_like(phi0, gphi))
 
     @pytest.mark.parametrize("param_case", [FULL, HALF, REVERT])
     @pytest.mark.parametrize("phi_case", [FULL, HALF, REVERT])
@@ -1366,6 +1383,12 @@ class TestConfigKv:
         with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
             descent.config_from_kv(f"{key}=0.5\n")
 
+    def test_schedule_has_two_knobs(self):
+        # the phi step bound is the module constant DT_PHI, not a field
+        assert [f.name for f in dataclasses.fields(DescentConfig)] == ["max_iters", "tol"]
+        with pytest.raises(TypeError):
+            DescentConfig(dt_phi=0.2)
+
     def test_every_key_written(self):
         lines = descent.config_to_kv(EnergyWeights(), DescentConfig()).splitlines()
         assert len(lines) == 12
@@ -1386,7 +1409,8 @@ class TestConfigKv:
         with pytest.raises(ValueError, match=f"^config key '{key}': "):
             descent.config_from_kv(text)
 
-    @pytest.mark.parametrize("max_iters", [2.5, 3.0, np.float64(3.0), "3", True, np.True_])
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, np.float64(3.0), "3", True, np.True_,
+                                           None, 1 + 0j, np.complex128(1)])
     def test_non_integral_max_iters_rejected(self, max_iters):
         # a float count was accepted and then made segment raise a bare TypeError,
         # and a bool was written as True, which config_from_kv rejects
