@@ -12,19 +12,19 @@ floating-point fixed point warm starts soon reach: a solve stops once a
 sweep changes no bit of its iterate.
 
 Each outer step is: refresh approximants, projected parameter step, CFL-capped
-explicit Euler step on phi, then per-group backtracking (halve once and retry;
+explicit step on phi, then per-group backtracking (halve once and retry;
 revert the group if the energy still rises) so accepted traces are
 non-increasing up to the configured tolerance.
 
-Without a model the phi step is a heavy ball (Polyak): the Euler step plus
-MOMENTUM times the last accepted phi step, through the same gate, and the
-velocity restarts from zero after a revert or an accepted energy rise
-(O'Donoghue & Candes). With a model the phi step stays plain Euler. Momentum
-there raises the occluded-arc scene's hidden-arc miss after 30 steps, but
-that rise is a transient on the way to the same converged contour: the model
-path waits for a benchmark that reads its quality at the run's stop rather
-than after 30 steps, and for a step small enough that the heavy ball stops
-there on every scene (ROADMAP.md, directions 1 and 9).
+The phi step is a heavy ball (Polyak): the Euler step plus MOMENTUM times
+the last accepted phi step, through the same gate. The velocity restarts
+from zero after a revert, after an accepted energy rise (O'Donoghue &
+Candes) and, with a model, after every step, so a model step is plain Euler.
+Momentum there raises the occluded-arc scene's hidden-arc miss after 30
+steps, but that rise is a transient on the way to the same converged contour:
+the model path waits for a benchmark that reads its quality at the run's stop
+rather than after 30 steps, and for a step small enough that the heavy ball
+stops there on every scene (ROADMAP.md, directions 1 and 9).
 
 A run stops once the RMS of dE/dphi on the band around the contour falls
 below STATIONARY_RMS: the relative energy change is no measure of the
@@ -56,7 +56,7 @@ FD_H = 1e-3
 SWEEPS = 20
 # the largest phi time step; ``step`` caps it at 0.5 / max|dE/dphi|
 DT_PHI = 0.2
-# the prior-free phi step's heavy-ball weight on the last accepted step
+# the phi step's heavy-ball weight on the last accepted step
 MOMENTUM = 0.93
 # ``segment`` stops once the band RMS of dE/dphi (see band_rms) is below this
 STATIONARY_RMS = 2e-4
@@ -89,7 +89,7 @@ class SegmentationState:
     i_out: Optional[np.ndarray] = None
     iter: int = 0
     trace: List[EnergyBreakdown] = dc_field(default_factory=list)
-    # the last accepted prior-free phi step, None after a restart (see step)
+    # the last accepted phi step, None after a restart, as after every model step (see step)
     velocity: Optional[np.ndarray] = dc_field(default=None, repr=False)
     # band_rms of the last step's phi gradient, and why segment stopped:
     # "stationary", "stalled" or "max_iters" (see segment)
@@ -393,8 +393,8 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     """One outer iteration: approximant refresh, parameter step, phi step.
 
     The returned state's ``phi_grad_rms`` is the :func:`band_rms` of the phi
-    gradient this step took, and without a model its ``velocity`` is the
-    phi step it accepted (None after a restart).
+    gradient this step took, and its ``velocity`` the phi step it accepted
+    (None after a restart; every model step restarts, and reads none).
 
     The step uses the memo its state carries (``segment`` seeds one), so the
     fields of the phi the previous step accepted are not computed again; it
@@ -432,29 +432,27 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     gmax = float(np.max(np.abs(gphi)))
     dt = min(DT_PHI, 0.5 / gmax) if gmax > 0 else DT_PHI
     rms = band_rms(gphi, state.phi, w.eps)
-    if model is not None:
-        state, _ = gate(state, e_base, lambda s: replace(state, phi=state.phi - s * dt * gphi))
+    # heavy ball: MOMENTUM times the last accepted step, minus dt*gphi
+    gphi *= dt
+    if state.velocity is None or model is not None:
+        move = np.negative(gphi, out=gphi)
     else:
-        # heavy ball: MOMENTUM times the last accepted step, minus dt*gphi
-        gphi *= dt
-        if state.velocity is None:
-            move = np.negative(gphi, out=gphi)
-        else:
-            move = MOMENTUM * state.velocity
-            move -= gphi
-        del gphi
+        move = MOMENTUM * state.velocity
+        move -= gphi
+    del gphi
 
-        def trial_at(s):
-            # the gate tries the half step only after dropping the full one, so the
-            # half can take move's buffer; a second step-sized array there can leave
-            # the heap in a layout that every later step trims and regrows (page faults)
-            if s != 1.0:
-                np.multiply(move, s, out=move)
-            return replace(state, phi=state.phi + move, velocity=move)
+    def trial_at(s):
+        # the gate tries the half step only after dropping the full one, so the
+        # half can take move's buffer; a second step-sized array there can leave
+        # the heap in a layout that every later step trims and regrows (page faults)
+        if s != 1.0:
+            np.multiply(move, s, out=move)
+        return replace(state, phi=state.phi + move, velocity=move)
 
-        trial, e_trial = gate(state, e_base, trial_at)
-        # restart after a revert or a step that raised the energy
-        state = replace(trial, velocity=None) if trial is state or e_trial > e_base else trial
+    trial, e_trial = gate(state, e_base, trial_at)
+    # restart after every model step, a revert or a step that raised the energy
+    restart = model is not None or trial is state or e_trial > e_base
+    state = replace(trial, velocity=None) if restart else trial
 
     bd = evaluate(state, image, g, model, w)
     # a new list, so the caller's state keeps its own trace

@@ -626,16 +626,22 @@ class TestStepAndSegment:
         # step copies its input's trace, so a run that handed it the history would be quadratic
         img = self._disk_scene(size=48, r=12, seed=3)
         model = disk_model if with_model else None
-        inner, seen = descent.step, []
+        inner, seen, velocities = descent.step, [], []
 
         def step(state, *args):
             seen.append((state.iter, len(state.trace)))
-            return inner(state, *args)
+            out = inner(state, *args)
+            velocities.append(out.velocity)
+            return out
 
         monkeypatch.setattr(descent, "step", step)
         out = descent.segment(img, model, EnergyWeights(gamma=0.05), DescentConfig(max_iters=5))
         assert seen == [(i, 0) for i in range(5)]
         assert out.iter == 5 and len(out.trace) == 5
+        if with_model:
+            # every model step restarts the heavy ball, so the run hands on no velocity
+            assert out.stop_reason == "max_iters"
+            assert velocities == [None] * 5 and out.velocity is None
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_max_iters_zero_returns_init(self, disk_model, with_model):
@@ -763,14 +769,18 @@ class TestBacktrackingGate:
         dt = min(self.DT, 0.5 / abs(gphi)) if gphi else self.DT
         phi0 = smooth_phi(48, 48)
         if with_model:
+            # a model step ignores the velocity it is given
             state = SegmentationState(phi=phi0.copy(), lam=np.zeros(2), pose=Pose(),
-                                      i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)))
+                                      i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)),
+                                      velocity=np.cos(phi0))
             totals = [100.0, 99.0, 98.0, 98.0]
         else:
             state, totals = SegmentationState(phi=phi0.copy()), [100.0, 99.0, 99.0]
         out = self._step(monkeypatch, state, disk_model if with_model else None,
                          totals, gphi)
         assert np.array_equal(out.phi, phi0 - dt * np.full_like(phi0, gphi))
+        if with_model:
+            assert out.velocity is None
 
     @pytest.mark.parametrize("param_case", [FULL, HALF, REVERT])
     @pytest.mark.parametrize("phi_case", [FULL, HALF, REVERT])
@@ -781,8 +791,10 @@ class TestBacktrackingGate:
         phi_scale, phi_energy = phi_case[1], phi_case[2] - 100.0 + p_energy
         phi0 = smooth_phi(48, 48)
         lam0 = np.array([0.3, -0.2])
+        # a model step ignores the velocity it is given, and returns none
         state = SegmentationState(phi=phi0.copy(), lam=lam0.copy(), pose=Pose(),
-                                  i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)))
+                                  i_in=np.zeros((48, 48)), i_out=np.zeros((48, 48)),
+                                  velocity=np.cos(phi0))
         out = self._step(monkeypatch, state, disk_model,
                          [100.0] + p_totals + phi_totals + [phi_energy])
         x0 = np.concatenate([lam0, Pose().as_vector()])
@@ -793,6 +805,11 @@ class TestBacktrackingGate:
         assert np.array_equal(out.lam, x[:2])
         assert out.pose == Pose(*map(float, x[2:]))
         assert np.array_equal(out.phi, self._phi_after(phi0, phi_scale))
+        assert out.velocity is None
+        if len(phi_case[0]) == 2:
+            # the half trial takes the full trial's step array, halved in place
+            full, half = self.seen[1 + len(p_totals):3 + len(p_totals)]
+            assert full.velocity is not None and half.velocity is full.velocity
 
 
 class TestStationaryStop:
@@ -895,8 +912,8 @@ class TestStationaryStop:
         assert len(state.trace) == state.iter
 
     def test_model_phi_step_has_no_momentum(self, monkeypatch, disk_model):
-        # each model step moves phi by exactly today's rule phi - s*dt*gphi,
-        # s in {1, 0.5}, or leaves it; a velocity handed in is never used
+        # each model step moves phi by exactly phi - s*dt*gphi, s in {1, 0.5}, or
+        # leaves it; a velocity handed in is never used, and every step restarts it
         g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
         cfg = DescentConfig()
         state = descent.init_state(self.IMAGE, disk_model, self.W)
@@ -917,8 +934,8 @@ class TestStationaryStop:
             plain = [state.phi] + [state.phi - s * dt * gphi for s in (1.0, 0.5)]
             assert any(out.phi.tobytes() == p.tobytes() for p in plain)
             moved += out.phi.tobytes() != state.phi.tobytes()
-            assert out.velocity is state.velocity
-            state = out
+            assert out.velocity is None
+            state = replace(out, velocity=np.ones_like(out.phi))
         assert moved == 4
 
 
