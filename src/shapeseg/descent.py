@@ -95,8 +95,8 @@ class SegmentationState:
     # "stationary", "stalled" or "max_iters" (see segment)
     phi_grad_rms: Optional[float] = None
     stop_reason: Optional[str] = None
-    # fields reused within one segment run: {kind: (inputs, fields)}; see _fields
-    _memo: Optional[dict] = dc_field(default=None, repr=False, compare=False)
+    # [phi, energy.phi_terms of it] for the phi the last step accepted; see step
+    _carry: Optional[list] = dc_field(default=None, repr=False, compare=False)
 
 
 def far_outside(shape) -> float:
@@ -118,35 +118,20 @@ def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
     return shape_prior.warp(synth, pose, far_outside(synth.shape))
 
 
-def _fields(state: SegmentationState, kind: str, compute, *inputs):
-    """compute(*inputs), reused while the state's memo holds it for these very objects.
+def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights,
+             phi_t=None, fits=None) -> EnergyBreakdown:
+    """Total energy of a state; prior-free when model is None.
 
-    Entries are keyed on identity, so a new array always misses. ``segment``
-    seeds one memo that lives for its whole run, in which no array is edited
-    in place. Without a memo (a state built outside ``segment``) this is
-    compute(*inputs), so arrays a caller edits in place between steps are
-    never served stale.
+    ``phi_t`` and ``fits`` are the state's :func:`energy.phi_terms` and
+    :func:`energy.fit_terms`, which ``step`` computes once and hands down (only
+    its carry crosses steps); each one left None is computed here.
     """
-    memo = state._memo
-    if memo is None:
-        return compute(*inputs)
-    hit = memo.get(kind)
-    if hit is not None and all(a is b for a, b in zip(hit[0], inputs)):
-        return hit[1]
-    hit = memo[kind] = None     # free the old fields before computing new ones
-    memo[kind] = (inputs, compute(*inputs))
-    return memo[kind][1]
-
-
-def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights) -> EnergyBreakdown:
-    """Total energy of a state; prior-free when model is None."""
     # every term is checked below, so NumPy's overflow warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         pw = None if model is None else prior_field(model, state.lam, state.pose)
-        fits = None if pw is None else _fields(state, "fit", energy.fit_terms, image,
-                                               state.i_in, state.i_out, w)
-        bd = energy.breakdown(_fields(state, "phi", energy.phi_terms, state.phi, g, w),
-                              fits, g, pw, w)
+        if pw is not None and fits is None:
+            fits = energy.fit_terms(image, state.i_in, state.i_out, w)
+        bd = energy.breakdown(phi_t or energy.phi_terms(state.phi, g, w), fits, g, pw, w)
     for name in ("f1", "f2", "f3", "f4", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise NumericalAbort(f"non-finite energy term {name}")
@@ -154,12 +139,13 @@ def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights) -> Ene
 
 
 def grad_phi_total(state: SegmentationState, image, g, model,
-                   w: EnergyWeights) -> np.ndarray:
+                   w: EnergyWeights, phi_t=None) -> np.ndarray:
     """Exact gradient of the discrete total energy with respect to phi.
 
     F4 does not depend on phi, so the gradient is the F1 stencil adjoint, the
     full F2 derivative (Dirac-derivative factor plus the divergence coupling
-    through |grad phi|), and the F3 area response.
+    through |grad phi|), and the F3 area response. ``phi_t`` is as in
+    :func:`evaluate`.
     """
     # the result is checked below, so NumPy's overflow warnings would only repeat
     # that; so would a division by an eps*eps that underflows to 0
@@ -169,9 +155,9 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         f2w = energy.f2_weight(g, pw, w)
         del pw
         phi = state.phi
-        m, d = _fields(state, "phi", energy.phi_terms, phi, g, w)[:2]
+        m, d = (phi_t or energy.phi_terms(phi, g, w))[:2]
         # each term in a buffer of its own, with the operations of the written-out
-        # formula in its order; m and d are the memo's and stay untouched
+        # formula in its order; m and d may be the caller's and stay untouched
         # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
         scale = m - 1.0
         scale *= w.alpha
@@ -226,17 +212,18 @@ def _param_boxes(model: ShapeModel):
 
 
 def grad_params(state: SegmentationState, image, g, model, w: EnergyWeights,
-                fd_h: float) -> np.ndarray:
+                fd_h: float, phi_t=None, fits=None) -> np.ndarray:
     """Central finite differences of the total energy in (lambda, pose).
 
     Probes falling outside a parameter's box are clamped to its edge, which
-    degrades gracefully to a one-sided difference.
+    degrades gracefully to a one-sided difference. ``phi_t`` and ``fits`` are
+    as in :func:`evaluate`, and serve every probe.
     """
     x0 = _params(state)
     lo, hi = _param_boxes(model)
 
     def energy_at(x):
-        return evaluate(_with_params(state, x), image, g, model, w).total
+        return evaluate(_with_params(state, x), image, g, model, w, phi_t, fits).total
 
     out = np.zeros_like(x0)
     for i in range(len(x0)):
@@ -388,6 +375,17 @@ def refresh_approximants(state: SegmentationState, image, model,
     return replace(state, i_in=i_in, i_out=i_out)
 
 
+def _phi_t(carry: list, st: SegmentationState, g, w: EnergyWeights):
+    """energy.phi_terms of st.phi: the one-slot carry [phi, fields]'s, else computed into it."""
+    if not carry or carry[0] is not st.phi:
+        # the old fields go first, so two sets are never held at once
+        carry.clear()
+        # evaluate and grad_phi_total check every term these fields feed
+        with np.errstate(over="ignore", invalid="ignore"):
+            carry.extend((st.phi, energy.phi_terms(st.phi, g, w)))
+    return carry[1]
+
+
 def step(state: SegmentationState, image, g, model, w: EnergyWeights,
          cfg: DescentConfig) -> SegmentationState:
     """One outer iteration: approximant refresh, parameter step, phi step.
@@ -396,39 +394,40 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     gradient this step took, and its ``velocity`` the phi step it accepted
     (None after a restart; every model step restarts, and reads none).
 
-    The step uses the memo its state carries (``segment`` seeds one), so the
-    fields of the phi the previous step accepted are not computed again; it
-    never makes one, so a memo-less state computes every field afresh. With a
-    model it first drops the memo's F4 fits, which belong to the approximants
-    the refresh replaces and could never be served again.
+    Each field is computed once and handed down: the refreshed approximants'
+    F4 fits and each phi's :func:`energy.phi_terms` go to every
+    :func:`evaluate`, :func:`grad_phi_total` and :func:`grad_params` call that
+    needs them. Only the carry crosses steps: the accepted phi's fields, in the
+    ``_carry`` that ``segment`` seeds. A state without one gets a fresh slot,
+    so a caller may edit its phi in place between steps.
     """
+    carry = [] if state._carry is None else state._carry
     if model is not None:
-        if state._memo is not None:
-            # the memo's fits belong to the approximants being replaced: free them
-            # before the solves (refresh_approximants itself leaves the memo alone)
-            state._memo.pop("fit", None)
         state = refresh_approximants(state, image, model, w, SWEEPS)
-    # the trial states below are replace()d from this one and share its memo
-    e_base = evaluate(state, image, g, model, w).total
+    # evaluate checks every term the fits feed
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = None if model is None else energy.fit_terms(image, state.i_in, state.i_out, w)
+
+    e_base = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), fits).total
 
     def gate(state, e_base, trial_at):
         """Full, else half trial, if its energy rises at most tol*|e_base|; else revert."""
         for scale in (1.0, 0.5):
             trial = trial_at(scale)
-            e_trial = evaluate(trial, image, g, model, w).total
+            e_trial = evaluate(trial, image, g, model, w, _phi_t(carry, trial, g, w), fits).total
             if e_trial <= e_base + cfg.tol * abs(e_base):
                 return trial, e_trial
         return state, e_base
 
     if model is not None:
-        gp = grad_params(state, image, g, model, w, FD_H)
+        gp = grad_params(state, image, g, model, w, FD_H, _phi_t(carry, state, g, w), fits)
         lo, hi = _param_boxes(model)
         x0 = _params(state)
         steps = np.concatenate([np.full(model.p, STEP_LAMBDA), np.full(4, STEP_POSE)])
         state, e_base = gate(state, e_base, lambda s: _with_params(
             state, np.clip(x0 - s * steps * gp, lo, hi)))
 
-    gphi = grad_phi_total(state, image, g, model, w)
+    gphi = grad_phi_total(state, image, g, model, w, _phi_t(carry, state, g, w))
     gmax = float(np.max(np.abs(gphi)))
     dt = min(DT_PHI, 0.5 / gmax) if gmax > 0 else DT_PHI
     rms = band_rms(gphi, state.phi, w.eps)
@@ -454,7 +453,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     restart = model is not None or trial is state or e_trial > e_base
     state = replace(trial, velocity=None) if restart else trial
 
-    bd = evaluate(state, image, g, model, w)
+    bd = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), fits)
     # a new list, so the caller's state keeps its own trace
     return replace(state, iter=state.iter + 1, trace=[*state.trace, bd], phi_grad_rms=rms)
 
@@ -520,8 +519,8 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     g = energy.edge_indicator(image, w.eta, w.sigma)
     state = init_state(image, model, w)
     reason = "max_iters"
-    # one memo for the whole run: each step starts from the fields the last one left
-    state = replace(state, _memo={})
+    # one carry for the whole run: each step starts from the fields the last one left
+    state = replace(state, _carry=[])
     # the run's records; each step gets a state without them, so it copies no history
     trace = []
     for _ in range(cfg.max_iters):
@@ -535,7 +534,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
         if model is None and prev.velocity is None and state.phi is prev.phi:
             reason = "stalled"
             break
-    return replace(state, trace=trace, stop_reason=reason, _memo=None)
+    return replace(state, trace=trace, stop_reason=reason, _carry=None)
 
 
 def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:

@@ -261,7 +261,7 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
     m, d, f1, f3, f2 = phi_t
     f4 = 0.0
     if prior_warped is not None:
-        # f2_weight's array is fresh; d and m may be the memo's and stay untouched
+        # f2_weight's array is fresh; d and m may be the caller's and stay untouched
         f2w = f2_weight(g, prior_warped, w)
         f2w *= d
         f2w *= m
@@ -271,7 +271,7 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
         if fit_in.shape != prior_warped.shape:
             raise ValueError("field dimensions differ")
         # fit_in*h_in + fit_out*(1 - h_in), built in h_in's buffer; the fits
-        # are shared with the caller's memo and stay untouched
+        # may be the caller's and stay untouched
         h_in = heaviside_eps(-prior_warped, w.eps)
         fit = fit_in * h_in
         np.subtract(1.0, h_in, out=h_in)

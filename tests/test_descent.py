@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -698,7 +699,7 @@ class TestBacktrackingGate:
         seen = []
         script = iter(totals)
 
-        def scripted(st, image, g, model, w):
+        def scripted(st, image, g, model, w, *fields):
             seen.append(st)
             return energy.EnergyBreakdown(0.0, 0.0, 0.0, 0.0, next(script))
 
@@ -939,8 +940,8 @@ class TestStationaryStop:
         assert moved == 4
 
 
-def _memo_free(state):
-    """A state holding copies of ``state``'s inputs, its velocity among them, and no memo."""
+def _carry_free(state):
+    """A state holding copies of ``state``'s inputs, its velocity among them, and no carry."""
     def cp(a):
         return None if a is None else a.copy()
     return SegmentationState(phi=state.phi.copy(), lam=cp(state.lam),
@@ -954,7 +955,7 @@ def _bits(bd):
 
 
 class TestFieldsComputedOncePerStep:
-    """Whatever a step reuses between energy calls, every result equals a fresh computation."""
+    """A step computes each field once and hands it down; every result equals a fresh one."""
 
     W = EnergyWeights(gamma=0.05)
 
@@ -970,62 +971,117 @@ class TestFieldsComputedOncePerStep:
         return img, g, disk_model, state
 
     def _checked(self, monkeypatch, seen):
-        """Make every evaluate/grad_phi_total call also check itself against a memo-free state."""
+        """Make every evaluate/grad_phi_total call, given the fields it is handed,
+        also check itself against a fresh call on copies of its state."""
         real_eval, real_grad = descent.evaluate, descent.grad_phi_total
 
-        def evaluate(state, *args):
-            out = real_eval(state, *args)
-            assert _bits(out) == _bits(real_eval(_memo_free(state), *args))
-            seen.append(state)
+        def evaluate(state, image, g, model, w, *fields):
+            out = real_eval(state, image, g, model, w, *fields)
+            assert _bits(out) == _bits(real_eval(_carry_free(state), image, g, model, w))
+            seen.append(fields)
             return out
 
-        def grad_phi_total(state, *args):
-            out = real_grad(state, *args)
-            assert out.tobytes() == real_grad(_memo_free(state), *args).tobytes()
+        def grad_phi_total(state, image, g, model, w, *fields):
+            out = real_grad(state, image, g, model, w, *fields)
+            assert out.tobytes() == real_grad(_carry_free(state), image, g, model, w).tobytes()
+            seen.append(fields)
             return out
 
         monkeypatch.setattr(descent, "evaluate", evaluate)
         monkeypatch.setattr(descent, "grad_phi_total", grad_phi_total)
-        return real_eval, real_grad
 
+    @pytest.mark.parametrize("carried", [False, True], ids=["no_carry", "carry"])
     @pytest.mark.parametrize("with_model", [False, True])
-    def test_every_call_in_a_step(self, monkeypatch, disk_model, with_model):
+    def test_every_call_in_a_step(self, monkeypatch, disk_model, with_model, carried):
         img, g, model, state = self._scene(disk_model, with_model)
-        state = replace(state, _memo={})   # as in segment, so the step reuses fields
+        if carried:
+            state = replace(state, _carry=[])     # as in segment
         seen = []
         self._checked(monkeypatch, seen)
         for _ in range(3):
             state = descent.step(state, img, g, model, self.W, DescentConfig())
-        assert len(seen) >= 3 * (17 if with_model else 3)
+        assert len(seen) >= 3 * (17 if with_model else 4)
+        # the step hands every call its phi's fields, and with a model the fits
+        # (grad_params hands them on to each of its evaluate calls)
+        for fields in seen:
+            assert fields[0] is not None
+            assert all((f is not None) == with_model for f in fields[1:])
+
+    @pytest.mark.parametrize("revert", [False, True])
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_a_step_computes_each_field_once(self, monkeypatch, disk_model, with_model,
+                                             revert):
+        # on a state with no carry: fit_terms once, for the refreshed approximants,
+        # and phi_terms once for the base phi, once per phi trial, and once more
+        # for the base after a revert
+        img, g, model, state = self._scene(disk_model, with_model)
+        real_eval, real_phi, real_fit = descent.evaluate, energy.phi_terms, energy.fit_terms
+        phis, evaluated, fits = [], [], []
+
+        def phi_terms(phi, g, w):
+            phis.append(phi)
+            return real_phi(phi, g, w)
+
+        def fit_terms(*args):
+            fits.append(args)
+            return real_fit(*args)
+
+        def evaluate(st_, *args):
+            out = real_eval(st_, *args)
+            evaluated.append(st_.phi)
+            if revert and st_.phi is not base:
+                # every phi trial rises too far, so the step reverts phi
+                return dataclasses.replace(out, total=out.total + 1e6)
+            return out
+
+        monkeypatch.setattr(energy, "phi_terms", phi_terms)
+        monkeypatch.setattr(energy, "fit_terms", fit_terms)
+        monkeypatch.setattr(descent, "evaluate", evaluate)
+        for _ in range(3):
+            del phis[:], evaluated[:], fits[:]
+            base = state.phi
+            out = descent.step(state, img, g, model, self.W, DescentConfig())
+            trials = []
+            for phi in evaluated:
+                if phi is not base and not any(phi is t for t in trials):
+                    trials.append(phi)
+            assert len(trials) in ((2,) if revert else (1, 2))
+            assert (out.phi is base) == revert
+            assert len(fits) == (1 if with_model else 0)
+            assert len(phis) == 1 + len(trials) + revert
+            assert list(map(id, phis)) == list(map(id, [base, *trials, *[base] * revert]))
+            state = out
 
     @pytest.mark.parametrize("with_model", [False, True])
-    def test_changed_inputs_after_a_step(self, monkeypatch, disk_model, with_model):
-        # the states seen inside a step carry whatever it reuses; vary each input
+    def test_carry_serves_only_its_own_phi(self, disk_model, with_model):
+        # the carry holds the fields of one phi array: a step whose phi is another
+        # array, equal or not, computes them afresh, and every step equals a step
+        # on copies of its state
         img, g, model, state = self._scene(disk_model, with_model)
-        seen = []
-        real_eval, real_grad = self._checked(monkeypatch, seen)
-        descent.step(replace(state, _memo={}), img, g, model, self.W, DescentConfig())
-        s = seen[-1]
-        probes = [s, replace(s, phi=s.phi.copy()), replace(s, phi=s.phi + 0.25), s]
+        cfg = DescentConfig()
+        s = descent.step(replace(state, _carry=[]), img, g, model, self.W, cfg)
+        held = list(s._carry)
+        assert held[0] is s.phi
+        probes = [s, replace(s, phi=s.phi.copy()), replace(s, phi=s.phi + 0.25)]
         if model is not None:
             probes += [replace(s, lam=s.lam + 0.1), replace(s, pose=Pose(1.1, 0.2, 0.5, -0.5)),
-                       replace(s, i_in=s.i_in + 1.0), replace(s, i_out=s.i_out.copy()),
-                       replace(s, i_out=s.i_out - 2.0), s]
+                       replace(s, i_in=s.i_in + 1.0), replace(s, i_out=s.i_out - 2.0)]
         for probe in probes:
-            for st_ in (probe, replace(probe, phi=probe.phi + 0.5), probe):
-                assert _bits(real_eval(st_, img, g, model, self.W)) == \
-                    _bits(real_eval(_memo_free(st_), img, g, model, self.W))
-                assert real_grad(st_, img, g, model, self.W).tobytes() == \
-                    real_grad(_memo_free(st_), img, g, model, self.W).tobytes()
+            a = descent.step(replace(probe, _carry=list(held)), img, g, model, self.W, cfg)
+            b = descent.step(_carry_free(probe), img, g, model, self.W, cfg)
+            assert a.phi.tobytes() == b.phi.tobytes()
+            assert [_bits(bd) for bd in a.trace] == [_bits(bd) for bd in b.trace]
+            if model is not None:
+                assert a.lam.tobytes() == b.lam.tobytes() and a.pose == b.pose
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_phi_edited_in_place_between_steps(self, disk_model, with_model):
         img, g, model, state = self._scene(disk_model, with_model)
         cfg = DescentConfig()
         s1 = descent.step(state, img, g, model, self.W, cfg)
-        assert getattr(s1, "_memo", None) is None
+        assert s1._carry is None     # a hand-stepped state carries nothing to the next step
         s1.phi += 0.3
-        fresh = _memo_free(s1)
+        fresh = _carry_free(s1)
         a = descent.step(s1, img, g, model, self.W, cfg)
         b = descent.step(fresh, img, g, model, self.W, cfg)
         assert a.phi.tobytes() == b.phi.tobytes()
@@ -1046,7 +1102,7 @@ def _array_bytes(obj):
 
 
 class TestKernelsLeaveInputsUntouched:
-    """No kernel writes into the state, the memo's fields, the model, the image or g."""
+    """No kernel writes into the state, the fields it is handed, the model, the image or g."""
 
     W = EnergyWeights(gamma=0.05)
 
@@ -1056,40 +1112,40 @@ class TestKernelsLeaveInputsUntouched:
             np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
         g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
         if not request.param:
-            state = SegmentationState(phi=smooth_phi(48, 48), _memo={})
-            descent.evaluate(state, img, g, None, self.W)     # fills the memo
-            return img, g, None, state
+            state = SegmentationState(phi=smooth_phi(48, 48))
+            return img, g, None, state, energy.phi_terms(state.phi, g, self.W), None
         state = replace(descent.init_state(img, disk_model, self.W),
                         phi=smooth_phi(48, 48), lam=np.array([0.3, -0.2]),
-                        pose=Pose(1.05, 0.1, 0.4, -0.3), _memo={})
-        descent.evaluate(state, img, g, disk_model, self.W)
-        assert set(state._memo) == {"phi", "fit"}
-        return img, g, disk_model, state
+                        pose=Pose(1.05, 0.1, 0.4, -0.3))
+        return (img, g, disk_model, state, energy.phi_terms(state.phi, g, self.W),
+                energy.fit_terms(img, state.i_in, state.i_out, self.W))
 
     @staticmethod
     def _inputs(img, g, model, state, *extra):
         pose = None if state.pose is None else state.pose.as_vector()
         models = [] if model is None else [model.mean, model.modes]
         return _array_bytes([state.phi, state.lam, pose, state.i_in, state.i_out,
-                             state._memo, *models, img, g, *extra])
+                             *models, img, g, *extra])
 
     def test_descent_kernels(self, scene):
-        img, g, model, state = scene
-        before = self._inputs(img, g, model, state)
+        img, g, model, state, phi_t, fits = scene
+        before = self._inputs(img, g, model, state, phi_t, fits)
         calls = [lambda: descent.evaluate(state, img, g, model, self.W),
-                 lambda: descent.grad_phi_total(state, img, g, model, self.W)]
+                 lambda: descent.evaluate(state, img, g, model, self.W, phi_t, fits),
+                 lambda: descent.grad_phi_total(state, img, g, model, self.W),
+                 lambda: descent.grad_phi_total(state, img, g, model, self.W, phi_t)]
         if model is not None:
             calls += [lambda: descent.grad_params(state, img, g, model, self.W, 1e-3),
+                      lambda: descent.grad_params(state, img, g, model, self.W, 1e-3,
+                                                  phi_t, fits),
                       lambda: descent.refresh_approximants(state, img, model, self.W,
                                                            descent.SWEEPS)]
         for call in calls:
             call()
-            assert self._inputs(img, g, model, state) == before
+            assert self._inputs(img, g, model, state, phi_t, fits) == before
 
     def test_breakdown_and_warp(self, scene):
-        img, g, model, state = scene
-        phi_t = state._memo["phi"][1]
-        fits = None if model is None else state._memo["fit"][1]
+        img, g, model, state, phi_t, fits = scene
         pw = None if model is None else descent.prior_field(model, state.lam, state.pose)
         before = self._inputs(img, g, model, state, phi_t, fits, pw)
         for _ in range(2):
@@ -1142,37 +1198,38 @@ class TestInPlaceKernelsStayPure:
                 kernel.__name__
 
     @pytest.mark.parametrize("with_model", [False, True])
-    def test_step_leaves_the_memo_arrays_alone(self, disk_model, with_model):
+    def test_step_leaves_the_carry_arrays_alone(self, disk_model, with_model):
         w = EnergyWeights(gamma=0.05)
         img = field.gaussian_convolve(
             np.where(disk_sdf(48, 48, 23.5, 23.5, 12) < 0, 200.0, 50.0), 1.0)
         g = energy.edge_indicator(img, w.eta, w.sigma)
         model = disk_model if with_model else None
-        state = replace(descent.init_state(img, model, w), phi=smooth_phi(48, 48), _memo={})
+        carry = []
+        state = replace(descent.init_state(img, model, w), phi=smooth_phi(48, 48), _carry=carry)
+        state = descent.step(state, img, g, model, w, DescentConfig())     # fills the carry
         for _ in range(2):
-            descent.evaluate(state, img, g, model, w)     # fills the memo
-            held = self._arrays([entry for entry in state._memo.values()])
-            assert len(held) == (9 if with_model else 4)     # inputs and fields
+            held = self._arrays(carry)
+            assert len(held) == 3 and held[0] is state.phi     # phi, |grad phi|, dirac(phi)
             before = [a.tobytes() for a in held]
             state = descent.step(state, img, g, model, w, DescentConfig())
             assert [a.tobytes() for a in held] == before
 
 
-def _segment_memo_free(image, model, w, cfg):
-    """``segment`` written out as a loop of steps on memo-less states."""
+def _segment_carry_free(image, model, w, cfg):
+    """``segment`` written out as a loop of steps on states with no carry."""
     image = field.as_field(image)
     g = energy.edge_indicator(image, w.eta, w.sigma)
     state = descent.init_state(image, model, w)
     for _ in range(cfg.max_iters):
         state = descent.step(state, image, g, model, w, cfg)
-        assert state._memo is None
+        assert state._carry is None
         if state.phi_grad_rms < descent.STATIONARY_RMS:
             break
     return state
 
 
-class TestMemoCarriedAcrossSteps:
-    """``segment`` keeps one memo for its whole run and computes what memo-free steps compute."""
+class TestCarryAcrossSteps:
+    """``segment`` keeps one carry for its whole run and computes what carry-free steps compute."""
 
     W = EnergyWeights(gamma=0.05)
     IMAGE = field.gaussian_convolve(
@@ -1183,15 +1240,15 @@ class TestMemoCarriedAcrossSteps:
         (DescentConfig(max_iters=30), False),
         (DescentConfig(max_iters=1000, tol=1e-4), True),
     ], ids=["every1", "stationary"])
-    def test_segment_equals_memo_free_steps(self, monkeypatch, disk_model, with_model, cfg,
-                                            stops):
+    def test_segment_equals_carry_free_steps(self, monkeypatch, disk_model, with_model, cfg,
+                                             stops):
         model = disk_model if with_model else None
         if with_model and stops:
             # the model path is still at a band RMS of 3.6e-4 after 3000 steps
             # here; a looser threshold stops it after a few dozen
             monkeypatch.setattr(descent, "STATIONARY_RMS", 5e-3)
         got = descent.segment(self.IMAGE, model, self.W, cfg)
-        want = _segment_memo_free(self.IMAGE, model, self.W, cfg)
+        want = _segment_carry_free(self.IMAGE, model, self.W, cfg)
         assert (got.iter < cfg.max_iters) == stops
         assert got.stop_reason == ("stationary" if stops else "max_iters")
         assert got.iter == want.iter
@@ -1200,34 +1257,67 @@ class TestMemoCarriedAcrossSteps:
         assert [_bits(bd) for bd in got.trace] == [_bits(bd) for bd in want.trace]
         if model is not None:
             assert got.lam.tobytes() == want.lam.tobytes() and got.pose == want.pose
-        assert got._memo is None
+        assert got._carry is None
 
-    def test_model_step_solves_without_the_replaced_fits(self, monkeypatch, disk_model):
-        # the fits belong to the approximants being replaced, so the step drops
-        # them before the solver's set-up; its own evaluations fill the entry again
+    def test_model_step_solves_without_earlier_fits(self, monkeypatch, disk_model):
+        # the fits belong to the approximants the refresh replaces, so none of
+        # them is alive while the solver runs
         g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
-        memo = {}
-        state = replace(descent.init_state(self.IMAGE, disk_model, self.W), _memo=memo)
-        descent.evaluate(state, self.IMAGE, g, disk_model, self.W)
-        real, entered = descent.solve_smooth_approximant, []
+        real_fit, real_solve = energy.fit_terms, descent.solve_smooth_approximant
+        refs, alive = [], []
+
+        def fit_terms(*args):
+            out = real_fit(*args)
+            refs.extend(map(weakref.ref, out))
+            return out
 
         def solve(*args):
-            entered.append("fit" in memo)
-            return real(*args)
+            alive.append(sum(r() is not None for r in refs))
+            return real_solve(*args)
 
+        monkeypatch.setattr(energy, "fit_terms", fit_terms)
         monkeypatch.setattr(descent, "solve_smooth_approximant", solve)
-        for _ in range(2):
-            assert "fit" in memo
+        state = descent.init_state(self.IMAGE, disk_model, self.W)
+        descent.evaluate(state, self.IMAGE, g, disk_model, self.W)
+        state = replace(state, _carry=[])
+        for _ in range(3):
             state = descent.step(state, self.IMAGE, g, disk_model, self.W, DescentConfig())
-        assert entered == [False] * 4
+        assert len(refs) == 2 * 4 and alive == [0] * 6
 
-    def test_step_keeps_the_memo_it_is_handed(self):
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_each_phis_fields_freed_when_the_next_are_computed(self, monkeypatch, disk_model,
+                                                               with_model):
+        # the heap layout a run settles into depends on when each phi's fields
+        # go: the base phi's are alive while band_rms runs, and every earlier
+        # phi's are gone before the next phi_terms call computes its own
+        real_phi, real_rms = energy.phi_terms, descent.band_rms
+        refs, dead_before, alive_at_rms = [], [], []
+
+        def phi_terms(phi, g, w):
+            dead_before.append(all(r() is None for r in refs[1:]))
+            out = real_phi(phi, g, w)
+            refs[:] = [weakref.ref(phi), weakref.ref(out[0]), weakref.ref(out[1])]
+            return out
+
+        def band_rms(gphi, phi, eps):
+            alive_at_rms.append(refs[0]() is phi and all(r() is not None for r in refs))
+            return real_rms(gphi, phi, eps)
+
+        monkeypatch.setattr(energy, "phi_terms", phi_terms)
+        monkeypatch.setattr(descent, "band_rms", band_rms)
+        model = disk_model if with_model else None
+        state = descent.segment(self.IMAGE, model, self.W, DescentConfig(max_iters=20))
+        assert state.iter == 20
+        assert alive_at_rms == [True] * 20
+        assert len(dead_before) > 20 and all(dead_before)
+
+    def test_step_keeps_the_carry_it_is_handed(self):
         g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
-        memo = {}
-        state = SegmentationState(phi=smooth_phi(48, 48), _memo=memo)
+        carry = []
+        state = SegmentationState(phi=smooth_phi(48, 48), _carry=carry)
         for _ in range(2):
             state = descent.step(state, self.IMAGE, g, None, self.W, DescentConfig())
-            assert state._memo is memo and memo["phi"][0][0] is state.phi
+            assert state._carry is carry and carry[0] is state.phi
 
     def test_phi_terms_once_per_distinct_phi(self, monkeypatch):
         real = energy.phi_terms
