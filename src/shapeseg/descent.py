@@ -33,7 +33,6 @@ long after the contour has settled. A prior-free run also stops once a phi
 step reverts from rest, since every later step would repeat it.
 """
 
-import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional
 
@@ -71,7 +70,7 @@ class DescentConfig:
         # a bool passes the bounds below but would be written as True, and a
         # float count as 3.0, neither of which a config reads back
         energy.check_real("tol", self.tol)
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+        if not energy.is_integer(self.max_iters):
             raise ValueError("max_iters must be an integer")
         # chained comparisons are False for NaN, so NaN fails every check
         if not 0 <= self.max_iters < np.inf:

@@ -35,11 +35,19 @@ _LOG_TINY = math.log(_TINY)
 
 def check_real(name: str, value) -> None:
     """Raise ValueError, naming the field, unless value is a real number other than a bool."""
+    if isinstance(value, float):    # np.float64 too: the common case, without the ABC check
+        return
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, not a bool")
     # a str, None or complex would reach the bounds checks and fail them with a bare TypeError
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, not {type(value).__name__}")
+
+
+def is_integer(value) -> bool:
+    """Whether value is an integer other than a bool; a Python int skips the ABC check."""
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 @dataclass

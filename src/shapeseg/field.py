@@ -133,21 +133,18 @@ def gaussian_convolve(f: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def bilinear_geometry(shape, x, y):
-    """Where :func:`bilinear_gather` reads to sample a field of ``shape`` at (x, y).
+def bilinear_sample(f: np.ndarray, x, y, outside: float, out=None):
+    """Bilinearly interpolate ``f`` at real coordinates, ``outside`` beyond the domain.
 
-    Returns (beyond, i00, dx, dy, fx, fy, wx0, wy0): the mask of coordinates
-    outside [0, w-1] x [0, h-1], the index of each sample's upper-left corner
-    in the raveled field, the offsets of its right and lower neighbours (0 on
-    a 1-wide axis), the fractions toward them and the complementary weights
-    1 - fx and 1 - fy of the left and upper corners. The mask and the index
-    have the shape x and y broadcast to; fx and wx0 keep the shape of x, and
-    fy and wy0 that of y, so an x row and a y column (an axis-aligned grid)
-    give a row and a column of weights, which the gather's products
-    broadcast. None of it depends on the field's values, so one geometry
-    serves every field of that shape.
+    ``x`` and ``y`` may be scalars or arrays that broadcast together; the valid
+    domain is [0, w-1] x [0, h-1]. Each axis's fractions and weights keep the
+    shape of its own coordinates, so an x row and a y column (an axis-aligned
+    grid) give a row and a column of weights, which the products broadcast;
+    only the corner index and the beyond mask have the sample shape. The
+    samples go into ``out`` when given, a contiguous array of the sample shape
+    and ``f``'s dtype, and into a new array otherwise; one sample is a float.
     """
-    h, w = shape
+    h, w = f.shape
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     fx, x0, beyond_x = _axis_geometry(x, w)
     fy, y0, beyond_y = _axis_geometry(y, h)
@@ -156,8 +153,24 @@ def bilinear_geometry(shape, x, y):
     i00 = np.add(y0, x0, out=np.empty(beyond.shape, dtype=np.intp))
     # free the corners before the complements are made: on a rotated map each
     # is a full grid
-    del x0, y0
-    return beyond, i00, 1 if w > 1 else 0, w if h > 1 else 0, fx, fy, 1 - fx, 1 - fy
+    del x0, y0, beyond_x, beyond_y
+    wx0, wy0 = 1 - fx, 1 - fy
+    dx, dy = 1 if w > 1 else 0, w if h > 1 else 0
+    flat = f.ravel()
+    # (f00*wx0)*wy0 + (f10*fx)*wy0 + (f01*wx0)*fy + (f11*fx)*fy, accumulated in
+    # place, reading flat[i00 + off] as flat[off:].take(i00); every index is in
+    # range by construction, and mode="wrap" skips the default mode's range check
+    val = np.asarray(flat.take(i00, out=out, mode="wrap"))     # 0-d for one sample
+    val *= wx0
+    val *= wy0
+    t = np.empty_like(val)
+    for off, a, b in ((dx, fx, wy0), (dy, wx0, fy), (dy + dx, fx, fy)):
+        flat[off:].take(i00, out=t, mode="wrap")
+        t *= a
+        t *= b
+        val += t
+    np.copyto(val, outside, where=beyond)
+    return float(val) if val.ndim == 0 else val
 
 
 def _axis_geometry(c, n):
@@ -175,40 +188,6 @@ def _axis_geometry(c, n):
     c0 = c0.astype(np.intp)
     f -= c0
     return f, c0, beyond
-
-
-def bilinear_gather(f: np.ndarray, geometry, outside: float, out=None) -> np.ndarray:
-    """Bilinear samples of ``f`` at a :func:`bilinear_geometry`, ``outside`` beyond the domain.
-
-    The samples go into ``out`` when given, a contiguous array of the sample
-    shape and ``f``'s dtype, and into a new array otherwise.
-    """
-    beyond, i00, dx, dy, fx, fy, wx0, wy0 = geometry
-    flat = f.ravel()
-    # (f00*wx0)*wy0 + (f10*fx)*wy0 + (f01*wx0)*fy + (f11*fx)*fy, accumulated in
-    # place, reading flat[i00 + off] as flat[off:].take(i00); every index is in
-    # range by construction, and mode="wrap" skips the default mode's range check
-    val = np.asarray(flat.take(i00, out=out, mode="wrap"))     # 0-d for one sample
-    val *= wx0
-    val *= wy0
-    t = np.empty_like(val)
-    for off, a, b in ((dx, fx, wy0), (dy, wx0, fy), (dy + dx, fx, fy)):
-        flat[off:].take(i00, out=t, mode="wrap")
-        t *= a
-        t *= b
-        val += t
-    np.copyto(val, outside, where=beyond)
-    return val
-
-
-def bilinear_sample(f: np.ndarray, x, y, outside: float):
-    """Bilinearly interpolate ``f`` at real coordinates, ``outside`` beyond the domain.
-
-    ``x`` and ``y`` may be scalars or arrays of matching shape; the valid
-    domain is [0, w-1] x [0, h-1].
-    """
-    out = bilinear_gather(f, bilinear_geometry(f.shape, x, y), outside)
-    return float(out) if out.ndim == 0 else out
 
 
 def total_variation(f: np.ndarray) -> float:

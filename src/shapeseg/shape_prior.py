@@ -80,25 +80,24 @@ class Pose:
 def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
     """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre.
 
-    Each call builds its own sampling geometry and keeps none of it. An
-    unrotated map's geometry is a row and a column, gathered in one piece. A
-    rotated map's is a full grid, so it is built and gathered one row half at
-    a time into one output, and at most half of it is held at once.
+    An unrotated map's coordinates are a row and a column, sampled in one
+    piece. A rotated map's are full grids, so they are made and sampled one
+    row half at a time into one output, and at most half of them are held at
+    once.
     """
     if pose.theta == 0.0:
-        return field.bilinear_gather(f, _warp_geometry(f.shape, pose), outside)
+        return field.bilinear_sample(f, *_warp_coords(f.shape, pose), outside)
     h = f.shape[0]
     out = np.empty(f.shape, f.dtype)
     for rows in (slice(0, h // 2), slice(h // 2, h)):
-        field.bilinear_gather(f, _warp_geometry(f.shape, pose, rows), outside, out=out[rows])
+        field.bilinear_sample(f, *_warp_coords(f.shape, pose, rows), outside, out=out[rows])
     return out
 
 
-def _warp_geometry(shape, pose: Pose, rows: slice = slice(None)):
-    """:func:`field.bilinear_geometry` of a pose's map on ``rows`` of a grid of ``shape``.
+def _warp_coords(shape, pose: Pose, rows: slice = slice(None)):
+    """(hx, hy), where a pose's map sends ``rows`` of a grid of ``shape``.
 
-    An unrotated map keeps its x coordinates a row and its y coordinates a
-    column, so its weights stay a row and a column too.
+    An unrotated map keeps hx a row and hy a column.
     """
     tau, theta, tx, ty = pose.as_vector()
     h, w = shape
@@ -121,7 +120,7 @@ def _warp_geometry(shape, pose: Pose, rows: slice = slice(None)):
     hy *= tau
     hy += cy
     hy += ty
-    return field.bilinear_geometry(shape, hx, hy)
+    return hx, hy
 
 
 @dataclass

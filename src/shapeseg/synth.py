@@ -12,13 +12,13 @@ pairs of uniforms feed a Box-Muller transform for Gaussian samples.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import io
+from .energy import check_real, is_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,19 +80,33 @@ class SceneSpec:
     occlusion: Optional[tuple] = None
 
     def __post_init__(self):
-        # a float size would pass the bound below and fail later inside np.zeros
-        if not all(isinstance(n, numbers.Integral) for n in (self.width, self.height)):
+        # a float size would pass the bound below and fail later inside np.zeros; a
+        # bool anywhere would be written as True, which scene_from_kv cannot read
+        # back, and a str would fail the bounds with a bare TypeError
+        if not (is_integer(self.width) and is_integer(self.height)):
             raise ValueError("width and height must be integers")
         if not (1 <= self.width and 1 <= self.height):
             raise ValueError("width and height must be >= 1")
+        for name in ("fg", "bg", "noise_std"):
+            check_real(name, getattr(self, name))
+        if not is_integer(self.noise_seed):
+            raise ValueError("noise_seed must be an integer")
         if not (math.isfinite(self.fg) and math.isfinite(self.bg)):
             raise ValueError("fg and bg must be finite")
         if not 0 <= self.noise_std < math.inf:     # False for NaN
             raise ValueError("noise_std must be finite and >= 0")
         for name, arity in _ARITY.items():
-            if getattr(self, name) is None:
+            value = getattr(self, name)
+            if value is None:
                 continue
-            kind, *params = getattr(self, name)
+            # only a tuple is written as kind,number,... (a list would be its repr)
+            if not isinstance(value, tuple) or not value:
+                raise ValueError(f"{name} must be a tuple of a kind and its parameters")
+            kind, *params = value
+            if not isinstance(kind, str):
+                raise ValueError(f"{name} kind must be a str, not {type(kind).__name__}")
+            for v in params:
+                check_real(f"{name} parameters", v)
             if not all(map(math.isfinite, params)):
                 raise ValueError(f"{name} parameters must be finite")
             if kind in arity and len(params) != arity[kind]:

@@ -1183,16 +1183,15 @@ class TestInPlaceKernelsStayPure:
     @given(_field_and_coords())
     def test_random_fields(self, case):
         f, v, x, y = case
-        geometry = field.bilinear_geometry(f.shape, x, y)
-        calls = [(field.grad, (f,)), (field.divergence, (f, v)),
-                 (energy.smooth_grad_magnitude, (f,)), (energy.heaviside_eps, (f, 1.5)),
-                 (energy.dirac_eps, (f, 1.5)), (energy.dirac_eps, (f, 0.1)),
-                 (field.bilinear_geometry, (f.shape, x, y)),
-                 (field.bilinear_gather, (f, geometry, -7.25))]
-        for kernel, args in calls:
+        calls = [(field.grad, (f,), {}), (field.divergence, (f, v), {}),
+                 (energy.smooth_grad_magnitude, (f,), {}), (energy.heaviside_eps, (f, 1.5), {}),
+                 (energy.dirac_eps, (f, 1.5), {}), (energy.dirac_eps, (f, 0.1), {}),
+                 (field.bilinear_sample, (f, x, y, -7.25), {}),
+                 (field.bilinear_sample, (f, x, y, -7.25), {"out": np.empty(f.shape)})]
+        for kernel, args, kwargs in calls:
             inputs = self._arrays(args)
             before = [a.tobytes() for a in inputs]
-            outputs = self._arrays(kernel(*args))
+            outputs = self._arrays(kernel(*args, **kwargs))
             assert [a.tobytes() for a in inputs] == before, kernel.__name__
             assert not any(np.shares_memory(o, i) for o in outputs for i in inputs), \
                 kernel.__name__

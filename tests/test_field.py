@@ -3,6 +3,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from shapeseg import field
 
-from conftest import assert_same_geometry, disk_sdf, disk_mask, grid, reference_bilinear_geometry
+from conftest import disk_sdf, disk_mask, grid
 
 
 class TestGrad:
@@ -339,10 +340,10 @@ class TestBilinearReference:
         assert got.tobytes() == bilinear_reference(f, x, y, 9.0).tobytes()
 
 
-class TestBilinearGeometryReference:
+class TestBilinearRowAndColumn:
     # each axis is worked out at its own coordinates' shape, so an x row and a
     # y column, or a scalar beside an array, skip the full grids of the
-    # reference; every component must still match it bit for bit
+    # reference; every sample must still match it bit for bit
 
     @staticmethod
     def coords(n):
@@ -354,23 +355,41 @@ class TestBilinearGeometryReference:
     @given(st.data())
     def test_row_and_column(self, data):
         h, w = data.draw(st.integers(1, 20)), data.draw(st.integers(1, 20))
+        f = data.draw(arrays(np.float64, (h, w), elements=st.floats(-1e6, 1e6)))
         nx, ny = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
         x = np.array(data.draw(st.lists(self.coords(w), min_size=nx, max_size=nx)))[None, :]
         y = np.array(data.draw(st.lists(self.coords(h), min_size=ny, max_size=ny)))[:, None]
         for a, b in ((x, y), (y.T, x.T), (x, x), (x[0, 0], y), (x, float(y[0, 0])),
                      (x[0, 0], y[0, 0])):
-            assert_same_geometry(field.bilinear_geometry((h, w), a, b),
-                                 reference_bilinear_geometry((h, w), a, b))
+            got = np.float64(field.bilinear_sample(f, a, b, -7.25))
+            # the reference on the broadcast coordinates, with NaN (which it
+            # cannot index with) read as 0 and its samples set to outside
+            xs, ys = np.broadcast_arrays(np.asarray(a, dtype=np.float64),
+                                         np.asarray(b, dtype=np.float64))
+            nan = np.isnan(xs) | np.isnan(ys)
+            want = np.where(nan, -7.25, bilinear_reference(
+                f, np.where(nan, 0.0, xs), np.where(nan, 0.0, ys), -7.25))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_unrotated_weights_are_a_row_and_a_column(self, rng):
-        x = rng.uniform(-2, 14, size=(5, 6))
-        y = rng.uniform(-2, 9, size=(5, 6))
-        got = field.bilinear_geometry((8, 13), x, y)
-        assert_same_geometry(got, reference_bilinear_geometry((8, 13), x, y))
-        beyond, i00, _, _, fx, fy, wx0, wy0 = field.bilinear_geometry((8, 13), x[:1], y[:, :1])
-        assert beyond.shape == i00.shape == (5, 6)
-        assert fx.shape == wx0.shape == (1, 6)
-        assert fy.shape == wy0.shape == (5, 1)
+        # an axis-aligned 128 x 128 sample peaks at about 3.67 grids, since only
+        # the samples, the corner index, the beyond mask and one product span
+        # the grid; weights at the full sample shape would add 4 grids
+        f = rng.normal(size=(128, 128))
+        x, y = rng.uniform(-2, 130, size=(1, 128)), rng.uniform(-2, 130, size=(128, 1))
+        field.bilinear_sample(f[:8, :8], x[:, :8], y[:8], 7.5)    # one-time allocations
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            field.bilinear_sample(f, x, y, 7.5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * f.nbytes, peak / f.nbytes
 
 
 class TestBilinearNan:

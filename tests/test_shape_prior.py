@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from shapeseg import field, shape_prior, synth
 from shapeseg.shape_prior import Pose
 
-from conftest import assert_same_geometry, disk_mask, grid, reference_bilinear_geometry
+from conftest import disk_mask, grid
 
 
 def nearest_opposite_sdf(m):
@@ -318,9 +318,8 @@ class TestWarp:
             assert out.tobytes() == want.tobytes()
 
     @staticmethod
-    def _reference_geometry(shape, pose):
-        # the warp's geometry as written on full grids: both coordinates of
-        # every pixel, then the full-grid bilinear geometry
+    def _reference_coords(shape, pose):
+        # the warp's coordinates written out on full grids: both of every pixel
         h, w = shape
         cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
         ct, st_ = np.cos(pose.theta), np.sin(pose.theta)
@@ -328,36 +327,41 @@ class TestWarp:
         dy = (np.arange(h, dtype=np.float64) - cy)[:, None]
         hx = (ct * dx - st_ * dy) * pose.tau + cx + pose.tx
         hy = (st_ * dx + ct * dy) * pose.tau + cy + pose.ty
-        return reference_bilinear_geometry(shape, hx, hy)
+        return hx, hy
 
     @pytest.mark.parametrize("shape", [(128, 128), (17, 12), (1, 9), (9, 1), (1, 1), (2, 2)])
     @pytest.mark.parametrize("tau", [shape_prior.TAU_MIN, 1.0, 1.37, shape_prior.TAU_MAX])
     @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi, 1e-3, 0.7, -2.9])
-    def test_geometry_matches_full_grid_formula(self, shape, tau, theta):
-        # unrotated maps (theta = 0) keep their weights a row and a column; a row
-        # range is those rows of the whole grid's geometry, an empty one included
-        h = shape[0]
+    def test_coords_match_full_grid_formula(self, rng, shape, tau, theta):
+        # unrotated maps (theta = 0) keep hx a row and hy a column; a row range
+        # is those rows of the whole grid's coordinates, an empty one included
+        h, w = shape
+        f = rng.normal(size=shape)
         for tx, ty in ((0.0, 0.0), (1e-3, -1e-3), (0.37, -2.6), (-13.25, 7.5)):
             pose = Pose(tau, theta, tx, ty)
-            want = self._reference_geometry(shape, pose)
-            assert_same_geometry(shape_prior._warp_geometry(shape, pose), want)
-            full = np.shape(want[1])
-            for rows in (slice(0, h // 2), slice(h // 2, h), slice(1, h - 1)):
-                # the offsets are plain ints; every array is cut to the rows
-                want_rows = [a if np.ndim(a) == 0 else np.broadcast_to(a, full)[rows]
-                             for a in want]
-                assert_same_geometry(shape_prior._warp_geometry(shape, pose, rows), want_rows)
+            want = self._reference_coords(shape, pose)
+            for rows in (slice(None), slice(0, h // 2), slice(h // 2, h), slice(1, h - 1)):
+                got = shape_prior._warp_coords(shape, pose, rows)
+                n = len(range(h)[rows])
+                if theta == 0.0:
+                    assert (got[0].shape, got[1].shape) == ((1, w), (n, 1))
+                for g, r in zip(np.broadcast_arrays(*got), want):
+                    r = r[rows]
+                    assert g.shape == r.shape == (n, w)
+                    assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+            assert shape_prior.warp(f, pose, 7.5).tobytes() == \
+                self._mgrid_warp(f, pose, 7.5).tobytes()
 
     @pytest.mark.parametrize("h", [1, 2, 3, 127])
     @pytest.mark.parametrize("pose", [Pose(1.0, 0.7, 0.0, 0.0), Pose(1.37, -2.9, 0.37, -2.6),
                                       Pose(shape_prior.TAU_MAX, 1e-3, -13.25, 7.5),
                                       Pose(shape_prior.TAU_MIN, np.pi, 40.0, -90.0)])
-    def test_rotated_warp_in_row_halves_equals_one_gather(self, rng, h, pose):
-        # the row halves (one of them empty when h = 1) against one gather of the
-        # whole grid's geometry, with samples on and beyond the grid
+    def test_rotated_warp_in_row_halves_equals_one_sample(self, rng, h, pose):
+        # the row halves (one of them empty when h = 1) against one sample of the
+        # whole grid's coordinates, with samples on and beyond the grid
         for w in (1, 6, 128):
             f = rng.normal(size=(h, w))
-            want = field.bilinear_gather(f, self._reference_geometry(f.shape, pose), 7.5)
+            want = field.bilinear_sample(f, *self._reference_coords(f.shape, pose), 7.5)
             got = shape_prior.warp(f, pose, 7.5)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 

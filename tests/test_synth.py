@@ -345,6 +345,49 @@ class TestSceneValidation:
             SceneSpec(**{"width": 32, "height": 32, "shape": ("halfplane", 1.0, 0.0, 5.0),
                          **size})
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(fg=True), "^fg must be a number, not a bool$"),
+        (dict(bg=np.True_), "^bg must be a number, not a bool$"),
+        (dict(noise_std=True), "^noise_std must be a number, not a bool$"),
+        (dict(fg="a"), "^fg must be a real number, not str$"),
+        (dict(bg=None), "^bg must be a real number, not NoneType$"),
+        (dict(noise_std=1j), "^noise_std must be a real number, not complex$"),
+        (dict(noise_seed=True), "^noise_seed must be an integer$"),
+        (dict(noise_seed=1.5), "^noise_seed must be an integer$"),
+        (dict(noise_seed=1.5, noise_std=1.0), "^noise_seed must be an integer$"),
+        (dict(noise_seed="3"), "^noise_seed must be an integer$"),
+        (dict(width=True, shape=("halfplane", 1.0, 0.0, 5.0)),
+         "^width and height must be integers$"),
+        (dict(height=np.True_), "^width and height must be integers$"),
+        (dict(shape=("disk", True, 15.5, 8.0)), "^shape parameters must be a number, not a bool$"),
+        (dict(shape=("disk", 15.5, 15.5, "8")),
+         "^shape parameters must be a real number, not str$"),
+        (dict(occlusion=("box", 0.0, None, 4.0, 4.0)),
+         "^occlusion parameters must be a real number, not NoneType$"),
+        (dict(shape=(1.0, 15.5, 15.5, 8.0)), "^shape kind must be a str, not float$"),
+        (dict(occlusion=(None, 0.0, 1.0)), "^occlusion kind must be a str, not NoneType$"),
+        (dict(shape="disk"), "^shape must be a tuple of a kind and its parameters$"),
+        (dict(shape=()), "^shape must be a tuple of a kind and its parameters$"),
+        (dict(shape=["disk", 15.5, 15.5, 8.0]),
+         "^shape must be a tuple of a kind and its parameters$"),
+        (dict(occlusion="arc"), "^occlusion must be a tuple of a kind and its parameters$"),
+    ])
+    def test_values_the_kv_format_cannot_read_back_rejected(self, kw, match):
+        # each was accepted (and written as text scene_from_kv rejects) or
+        # failed later with a bare TypeError
+        with pytest.raises(ValueError, match=match):
+            SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+
+    @pytest.mark.parametrize("kw", [
+        dict(fg=np.float32(180.0), bg=np.int64(40), noise_std=3, noise_seed=np.uint64(7)),
+        dict(noise_seed=-5), dict(shape=(np.str_("disk"), 15.5, np.float64(15.5), 8)),
+        dict(occlusion=("box", 0, 0, np.int32(4), 4.5)),
+    ])
+    def test_numeric_types_accepted_and_read_back(self, kw):
+        spec = SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+        assert synth.scene_from_kv(synth.scene_to_kv(spec)) == spec
+        synth.render(spec)
+
     def test_numpy_integer_size_accepted(self):
         spec = SceneSpec(width=np.int64(24), height=np.uint8(20),
                          shape=("halfplane", 1.0, 0.0, 5.0))
