@@ -149,10 +149,11 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     # the result is checked below, so NumPy's overflow warnings would only repeat
     # that; so would a division by an eps*eps that underflows to 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the prior first, so its warp's temporaries are gone before the phi arrays exist
-        pw = None if model is None else prior_field(model, state.lam, state.pose)
-        f2w = energy.f2_weight(g, pw, w)
-        del pw
+        # F2's weight: a model's first, so its warp's temporaries are gone before
+        # the phi arrays exist; without one it is xi*g, built where it is needed
+        # so that no copy of it is held across the gradient and the divergence
+        f2w = None if model is None else energy.f2_weight(
+            g, prior_field(model, state.lam, state.pose), w)
         phi = state.phi
         m, d = (phi_t or energy.phi_terms(phi, g, w))[:2]
         # each term in a buffer of its own, with the operations of the written-out
@@ -160,8 +161,13 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
         scale = m - 1.0
         scale *= w.alpha
-        t = f2w * d
+        if f2w is None:
+            t = energy.f2_weight(g, None, w)
+            t *= d
+        else:
+            t = f2w * d
         scale += t
+        del t
         scale /= m
         gx, gy = field.grad(phi)
         gx *= scale
@@ -175,13 +181,13 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         dp = -2.0 * phi
         dp /= w.eps * w.eps
         dp *= d
-        dp *= f2w
+        dp *= energy.f2_weight(g, None, w) if f2w is None else f2w
         dp *= m
         out += dp
-        # d(H_eps(-phi))/dphi in F3: -beta * g * dirac
-        np.multiply(g, -w.beta, out=t)
-        t *= d
-        out += t
+        # d(H_eps(-phi))/dphi in F3: -beta * g * dirac, in dp's buffer
+        np.multiply(g, -w.beta, out=dp)
+        dp *= d
+        out += dp
     if not np.all(np.isfinite(out)):
         raise NumericalAbort("non-finite level-set gradient")
     return out
@@ -366,7 +372,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 def refresh_approximants(state: SegmentationState, image, model,
                          w: EnergyWeights, sweeps: int) -> SegmentationState:
     """Gauss-Seidel refresh of I_in and I_out for the current prior region."""
-    wgt = energy.heaviside_eps(-prior_field(model, state.lam, state.pose), w.eps)
+    # H(-prior) in the buffer of -prior
+    wgt = -prior_field(model, state.lam, state.pose)
+    wgt = energy.heaviside_eps(wgt, w.eps, out=wgt)
     i_in = solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in)
     # 1 - wgt in wgt's buffer, so the I_out solve holds one weight field, not two
     i_out = solve_smooth_approximant(image, np.subtract(1.0, wgt, out=wgt), w.mu, sweeps,
@@ -493,7 +501,8 @@ def init_state(image: np.ndarray, model: Optional[ShapeModel],
     lam = np.zeros(model.p)
     pose = Pose()
     pw = prior_field(model, lam, pose)
-    wgt = energy.heaviside_eps(-pw, w.eps)
+    wgt = -pw
+    wgt = energy.heaviside_eps(wgt, w.eps, out=wgt)
     m_in = float(np.sum(wgt * image) / max(np.sum(wgt), 1e-12))
     m_out = float(np.sum((1 - wgt) * image) / max(np.sum(1 - wgt), 1e-12))
     return SegmentationState(phi=pw.copy(), lam=lam, pose=pose,

@@ -96,30 +96,37 @@ class EnergyBreakdown:
     total: float
 
 
-def heaviside_eps(z, eps: float):
-    """Smooth Heaviside: 0.5*(1 + erf(z/eps)).
+def heaviside_eps(z, eps: float, out=None):
+    """Smooth Heaviside: 0.5*(1 + erf(z/eps)), built in ``out`` when given.
 
     Globally supported and strictly increasing with H(0) = 1/2, but with
     Gaussian rather than Cauchy tails: the slowly decaying arctan variant
     inflates region integrals by several percent of the domain size, which
     breaks the area oracles this regularization must satisfy.
+
+    ``out`` may be ``z`` itself, so a caller that negated a field for H(-f)
+    hands over that temporary and the call holds no second grid.
     """
     # a chained comparison is False for NaN, so NaN fails it
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    # z/eps may overflow to +-inf, where the clip below gives the exact limit
+    z = np.asarray(z, dtype=np.float64)
+    # z/eps may overflow to +-inf, where the clip below gives the exact limit;
+    # s is a 0-d array for a scalar z
     with np.errstate(over="ignore"):
-        s = np.asarray(z, dtype=np.float64) / eps
-    # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on a band
-    # only, and beyond it s clipped to [-1, 1] is erf's value (NaN stays NaN);
-    # e is a 0-d array for a scalar z, and holds |s| until the band is known
-    e = np.abs(s, out=np.empty_like(s))
-    band = e < 6.0
-    np.clip(s, -1.0, 1.0, out=e)
-    e[band] = erf(s[band])
-    e += 1.0
-    e *= 0.5
-    return e[()]    # a scalar for a scalar z
+        s = np.divide(z, eps, out=np.empty_like(z) if out is None else out)
+    # binary64 erf(s) is exactly +-1.0 for |s| >= 5.922, so erf runs on the
+    # band |s| < 6 only (NaN and +-inf fail both comparisons), on a copy of its
+    # values; beyond it s clipped to [-1, 1] is erf's value (NaN stays NaN)
+    band = s < 6.0
+    band &= s > -6.0
+    v = s[band]
+    erf(v, out=v)
+    np.clip(s, -1.0, 1.0, out=s)
+    s[band] = v
+    s += 1.0
+    s *= 0.5
+    return s[()]    # a scalar for a scalar z
 
 
 def dirac_eps(z, eps: float):
@@ -141,12 +148,13 @@ def dirac_eps(z, eps: float):
     # beyond the s^2 = -log(tiny*eps*sqrt(pi)) where the result leaves the
     # normal range (and on NaN, which fails every comparison)
     run = ~(s > -_LOG_TINY - math.log(eps) - 0.5 * math.log(math.pi) + 1e-6)
+    # exp in s's buffer, then 0 where it did not run, as exp(-inf) would give
     np.negative(s, out=s)
-    d = np.zeros_like(s)
-    np.exp(s, out=d, where=run)
-    d /= eps * np.sqrt(np.pi)
-    np.copyto(d, 0.0, where=d < _TINY)
-    return d[()]    # a scalar for a scalar z
+    np.exp(s, out=s, where=run)
+    np.copyto(s, 0.0, where=~run)
+    s /= eps * np.sqrt(np.pi)
+    np.copyto(s, 0.0, where=s < _TINY)
+    return s[()]    # a scalar for a scalar z
 
 
 def dirac_eps_prime(z, eps: float):
@@ -198,7 +206,9 @@ def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
     """Edge-weighted area of the interior: sum of g * H_eps(-phi)."""
     if phi.shape != g.shape:
         raise ValueError("field dimensions differ")
-    h = heaviside_eps(-phi, w.eps)
+    # H(-phi) in the buffer of -phi
+    h = np.negative(phi)
+    h = heaviside_eps(h, w.eps, out=h)
     h *= g
     return float(np.sum(h))
 
@@ -278,9 +288,10 @@ def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
         fit_in, fit_out = fits
         if fit_in.shape != prior_warped.shape:
             raise ValueError("field dimensions differ")
-        # fit_in*h_in + fit_out*(1 - h_in), built in h_in's buffer; the fits
-        # may be the caller's and stay untouched
-        h_in = heaviside_eps(-prior_warped, w.eps)
+        # fit_in*h_in + fit_out*(1 - h_in), built in the buffer of -prior_warped;
+        # the fits may be the caller's and stay untouched
+        h_in = np.negative(prior_warped)
+        h_in = heaviside_eps(h_in, w.eps, out=h_in)
         fit = fit_in * h_in
         np.subtract(1.0, h_in, out=h_in)
         h_in *= fit_out

@@ -105,13 +105,20 @@ class SceneSpec:
             kind, *params = value
             if not isinstance(kind, str):
                 raise ValueError(f"{name} kind must be a str, not {type(kind).__name__}")
+            # render knows no other kind, and one with a comma or an edge space
+            # would be read back from the key=value text as another spec
+            if kind not in arity:
+                raise ValueError(f"unknown {name} kind {kind!r}")
             for v in params:
                 check_real(f"{name} parameters", v)
             if not all(map(math.isfinite, params)):
                 raise ValueError(f"{name} parameters must be finite")
-            if kind in arity and len(params) != arity[kind]:
+            if len(params) != arity[kind]:
                 raise ValueError(f"{name} {kind} takes {arity[kind]} parameters")
         kind, *params = self.shape
+        # the arc is centred on the shape, and a halfplane has no centre
+        if self.occlusion is not None and self.occlusion[0] == "arc" and kind == "halfplane":
+            raise ValueError(f"an arc occlusion needs a disk or ellipse, not a {kind}")
         # r, or a and b, compared as Python floats so a NumPy scalar cannot overflow in a cast
         if kind in ("disk", "ellipse") and not min(map(float, params[2:4])) > 0:
             raise ValueError("disk radius and ellipse semi-axes must be positive")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,23 @@ def circle_distance(contour_vertices, cx, cy, r):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes that one ``call()`` allocates above its start, after a first call.
+
+    The first call takes any one-time allocations (NumPy's and the kernels'
+    own caches), so the figure is what every later call holds at once.
+    """
+    call()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

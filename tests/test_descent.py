@@ -13,7 +13,7 @@ from shapeseg.descent import DescentConfig, SegmentationState
 from shapeseg.energy import EnergyWeights
 from shapeseg.shape_prior import Pose
 
-from conftest import disk_sdf, disk_mask, grid
+from conftest import disk_sdf, disk_mask, grid, traced_peak
 
 
 W = EnergyWeights()
@@ -1144,6 +1144,19 @@ class TestKernelsLeaveInputsUntouched:
             call()
             assert self._inputs(img, g, model, state, phi_t, fits) == before
 
+    def test_prior_free_grad_phi_total_peak(self):
+        # 6 grids on 128 x 128: |grad phi| and dirac(phi), then grad(phi), the
+        # divergence and its difference temporary; xi*g is built before the
+        # gradient and again after the divergence, so no copy of it is held
+        # across them (8 grids when one is). It reads 6 grids and 104 bytes: the
+        # 4 KiB allowance is for array headers and NumPy's error-state objects
+        phi = disk_sdf(128, 128, 60.3, 66.1, 30.0)
+        img = np.where(phi < 0, 200.0, 50.0)
+        g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
+        state = SegmentationState(phi=phi)
+        peak = traced_peak(lambda: descent.grad_phi_total(state, img, g, None, self.W))
+        assert peak <= 6 * phi.nbytes + 4096, peak / phi.nbytes
+
     def test_breakdown_and_warp(self, scene):
         img, g, model, state, phi_t, fits = scene
         pw = None if model is None else descent.prior_field(model, state.lam, state.pose)
@@ -1183,18 +1196,24 @@ class TestInPlaceKernelsStayPure:
     @given(_field_and_coords())
     def test_random_fields(self, case):
         f, v, x, y = case
+        z = -f
         calls = [(field.grad, (f,), {}), (field.divergence, (f, v), {}),
                  (energy.smooth_grad_magnitude, (f,), {}), (energy.heaviside_eps, (f, 1.5), {}),
+                 (energy.heaviside_eps, (f, 1.5), {"out": np.empty(f.shape)}),
+                 (energy.heaviside_eps, (z, 1.5), {"out": z}),
                  (energy.dirac_eps, (f, 1.5), {}), (energy.dirac_eps, (f, 0.1), {}),
                  (field.bilinear_sample, (f, x, y, -7.25), {}),
                  (field.bilinear_sample, (f, x, y, -7.25), {"out": np.empty(f.shape)})]
         for kernel, args, kwargs in calls:
-            inputs = self._arrays(args)
+            # out is written, and the result lives in it; every other input stays as it was
+            out = kwargs.get("out")
+            inputs = [a for a in self._arrays(args) if a is not out]
             before = [a.tobytes() for a in inputs]
             outputs = self._arrays(kernel(*args, **kwargs))
             assert [a.tobytes() for a in inputs] == before, kernel.__name__
             assert not any(np.shares_memory(o, i) for o in outputs for i in inputs), \
                 kernel.__name__
+            assert out is None or all(np.shares_memory(o, out) for o in outputs), kernel.__name__
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_step_leaves_the_carry_arrays_alone(self, disk_model, with_model):

@@ -5,7 +5,7 @@ from scipy.special import erf
 from shapeseg import energy, field
 from shapeseg.energy import EnergyWeights
 
-from conftest import disk_sdf, grid
+from conftest import disk_sdf, grid, traced_peak
 
 
 W = EnergyWeights()
@@ -64,14 +64,29 @@ class TestHeavisideDirac:
 
     @pytest.mark.parametrize("eps", [0.1, 1.5, 7.0])
     def test_matches_erf_formula_bit_for_bit(self, eps, rng):
+        # s = z/eps either side of the erf band's edge |s| = 6 and of the s^2
+        # where dirac_eps stops running exp, zeros, infinities, NaN of both signs
         band = np.linspace(5.8, 6.2, 801)
-        s = np.concatenate([band, -band, [0.0, -0.0, np.inf, -np.inf],
+        run = np.sqrt(-np.log(np.finfo(np.float64).tiny * eps * np.sqrt(np.pi)))
+        run = run * (1.0 + np.linspace(-1e-6, 1e-6, 41))
+        s = np.concatenate([band, -band, run, -run, [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
                             rng.uniform(-8, 8, size=2000)])
         z = np.concatenate([s * eps, [1e300, -1e300]])
+        fresh = energy.heaviside_eps(z, eps)
+        nan = np.isnan(z)
         want = 0.5 * (1.0 + erf(z / eps))
-        assert energy.heaviside_eps(z, eps).tobytes() == want.tobytes()
-        for v in (0.0, -0.0, 6.0 * eps, -6.0 * eps, 1e300, -1e300):
-            assert energy.heaviside_eps(v, eps) == 0.5 * (1.0 + erf(v / eps))
+        assert fresh[~nan].tobytes() == want[~nan].tobytes()
+        assert np.isnan(fresh[nan]).all()
+        # built in out, whether out is z itself or another array, with the same bytes
+        for into_z in (True, False):
+            out = z.copy() if into_z else np.full_like(z, 3.25)
+            got = energy.heaviside_eps(out if into_z else z, eps, out=out)
+            assert np.shares_memory(got, out) and got.tobytes() == fresh.tobytes()
+        # a scalar z gives a scalar
+        for v in (0.0, -0.0, 6.0 * eps, -6.0 * eps, run[0] * eps, 1e300, -1e300, np.nan):
+            one = energy.heaviside_eps(v, eps)
+            assert isinstance(one, np.float64)
+            assert one.tobytes() == (0.5 * (1.0 + erf(np.float64(v) / eps))).tobytes()
 
     def test_dirac_at_zero(self):
         # value at 0 for the Gaussian regularization: 1/(eps*sqrt(pi))
@@ -150,6 +165,37 @@ class TestHeavisideDirac:
         # a NaN or infinite eps used to return a field of NaN or of constants
         with pytest.raises(ValueError, match="eps must be positive and finite"):
             kernel(np.linspace(-3.0, 3.0, 7), eps)
+
+
+class TestKernelPeaks:
+    """Each kernel holds one result-sized buffer, plus masks and the band's values."""
+
+    W = EnergyWeights()
+    # a signed distance on 128 x 128, whose band |phi/eps| < 6 covers 21% of the grid
+    PHI = disk_sdf(128, 128, 60.3, 66.1, 30.0)
+    G = energy.edge_indicator(np.where(PHI < 0, 200.0, 50.0), W.eta, W.sigma)
+
+    @pytest.mark.parametrize("kernel, grids", [
+        # 1.34 grids: the result, the band mask and the band's values (2.54 with
+        # |z/eps| and erf's values held beside them)
+        (lambda phi, g, w: energy.heaviside_eps(phi, w.eps), 1.75),
+        # 1.26: the result and two masks (2.26 with a separate exp buffer)
+        (lambda phi, g, w: energy.dirac_eps(phi, w.eps), 1.3),
+        # 1.34: H(-phi) built in the buffer of -phi (3.55 with a second grid)
+        (lambda phi, g, w: energy.energy_f3(phi, g, w), 1.75),
+        # 3.34: |grad phi| and dirac(phi), kept, and F3's 1.34 (5.55 at most before)
+        (lambda phi, g, w: energy.phi_terms(phi, g, w), 3.75),
+    ], ids=["heaviside_eps", "dirac_eps", "energy_f3", "phi_terms"])
+    def test_peak(self, kernel, grids):
+        peak = traced_peak(lambda: kernel(self.PHI, self.G, self.W))
+        assert peak <= grids * self.PHI.nbytes, peak / self.PHI.nbytes
+
+    def test_heaviside_into_z_holds_no_second_grid(self):
+        # 0.34: the band mask and the band's values; z is refilled with -phi each call
+        z = np.empty_like(self.PHI)
+        peak = traced_peak(lambda: energy.heaviside_eps(np.negative(self.PHI, out=z), self.W.eps,
+                                                        out=z))
+        assert peak <= 0.5 * z.nbytes, peak / z.nbytes
 
 
 class TestEdgeIndicator:
