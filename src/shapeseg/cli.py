@@ -7,6 +7,7 @@ only to files.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# built on first use and shared by every later call: parse_args leaves the parser as it was
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="shapeseg", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

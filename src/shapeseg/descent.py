@@ -61,7 +61,7 @@ MOMENTUM = 0.93
 STATIONARY_RMS = 2e-4
 
 
-@dataclass
+@dataclass(frozen=True)
 class DescentConfig:
     max_iters: int = 2000
     tol: float = 1e-6

@@ -50,7 +50,7 @@ def is_integer(value) -> bool:
                                   and not isinstance(value, bool))
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyWeights:
     """All scalar hyperparameters of the energy.
 
@@ -120,7 +120,7 @@ def heaviside_eps(z, eps: float, out=None):
     # values; beyond it s clipped to [-1, 1] is erf's value (NaN stays NaN)
     band = s < 6.0
     band &= s > -6.0
-    v = s[band]
+    v = s[band]    # not erf(s, out=s, where=band): SciPy 1.17.1 misplaces masked results
     erf(v, out=v)
     np.clip(s, -1.0, 1.0, out=s)
     s[band] = v

@@ -57,7 +57,7 @@ def sdf_from_mask(m) -> np.ndarray:
     return sdf
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pose:
     """Rigid transform parameters: scale tau, rotation theta, translation (tx, ty)."""
 
@@ -70,8 +70,8 @@ class Pose:
         if not all(map(math.isfinite, (self.tau, self.theta, self.tx, self.ty))):
             raise ValueError("pose parameters must be finite")
         # project into the admissible box (theta wraps)
-        self.tau = float(min(max(self.tau, TAU_MIN), TAU_MAX))
-        self.theta = float((self.theta + np.pi) % (2 * np.pi) - np.pi)
+        object.__setattr__(self, "tau", float(min(max(self.tau, TAU_MIN), TAU_MAX)))
+        object.__setattr__(self, "theta", float((self.theta + np.pi) % (2 * np.pi) - np.pi))
 
     def as_vector(self) -> np.ndarray:
         return np.array([self.tau, self.theta, self.tx, self.ty])

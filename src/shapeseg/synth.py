@@ -58,7 +58,7 @@ _ARITY = {"shape": {"disk": 3, "ellipse": 5, "halfplane": 3},
           "occlusion": {"arc": 2, "box": 4}}
 
 
-@dataclass
+@dataclass(frozen=True)
 class SceneSpec:
     """Recipe for one two-phase scene.
 
@@ -145,14 +145,12 @@ def truth_mask(spec: SceneSpec) -> np.ndarray:
         # a tiny semi-axis overflows the squares, where inf gives the exact limit
         with np.errstate(over="ignore"):
             return (u / a) ** 2 + (v / b) ** 2 < 1.0
-    if kind == "halfplane":
-        _, nx, ny, offset = spec.shape
-        with np.errstate(over="ignore", invalid="ignore"):
-            side = nx * xs + ny * ys
-        if np.isnan(side).any():    # inf - inf: the side of some pixel is unknown
-            raise ValueError("halfplane normal overflows on the grid")
-        return side < offset
-    raise ValueError(f"unknown shape kind {kind!r}")
+    _, nx, ny, offset = spec.shape    # a halfplane
+    with np.errstate(over="ignore", invalid="ignore"):
+        side = nx * xs + ny * ys
+    if np.isnan(side).any():    # inf - inf: the side of some pixel is unknown
+        raise ValueError("halfplane normal overflows on the grid")
+    return side < offset
 
 
 def _check_margin(x0, y0, x1, y1, spec: SceneSpec) -> None:
@@ -167,20 +165,15 @@ def _occlusion_mask(spec: SceneSpec) -> np.ndarray:
         return occ
     ys = np.arange(spec.height, dtype=np.float64)[:, None]
     xs = np.arange(spec.width, dtype=np.float64)
-    kind = spec.occlusion[0]
-    if kind == "arc":
-        if spec.shape[0] not in ("disk", "ellipse"):    # the arc is centred on the shape
-            raise ValueError(f"an arc occlusion needs a disk or ellipse, not a {spec.shape[0]}")
+    if spec.occlusion[0] == "arc":    # centred on the shape, a disk or an ellipse
         _, t0, t1 = spec.occlusion
         cx, cy = spec.shape[1], spec.shape[2]
         ang = np.arctan2(ys - cy, xs - cx)
         span = (t1 - t0) % (2 * np.pi)
         rel = (ang - t0) % (2 * np.pi)
         return rel < span
-    if kind == "box":
-        _, x0, y0, x1, y1 = spec.occlusion
-        return (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
-    raise ValueError(f"unknown occlusion kind {kind!r}")
+    _, x0, y0, x1, y1 = spec.occlusion    # a box
+    return (xs >= x0) & (xs < x1) & (ys >= y0) & (ys < y1)
 
 
 def render(spec: SceneSpec):

@@ -773,6 +773,30 @@ class TestExitCodes:
         assert run_cli(["--version"]) == 0
         assert cli.__version__ in capsys.readouterr().out
 
+    def test_one_parser_serves_every_call(self, tmp_path, monkeypatch, capsys):
+        # a usage error, a valid command and --version in one process each behave as
+        # on their own, and one parser, built once, parses all three
+        parsers, real = [], cli._Parser.parse_args
+
+        def parse_args(self, *args, **kwargs):
+            parsers.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", parse_args)
+        phi_p, out_p = tmp_path / "phi.sfld", tmp_path / "out.sfld"
+        field.write_sfld(descent.default_init_phi((16, 16)), phi_p)
+        assert run_cli(["reinit", "--phi", str(phi_p), "--bogus"]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == "" and err[0].startswith("usage error: ")
+        assert err[1].startswith("usage: shapeseg ")
+        assert run_cli(["reinit", "--phi", str(phi_p), "--iters", "2", "--out", str(out_p)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"reinit: 2 iterations written to {out_p}\n" and captured.err == ""
+        assert run_cli(["--version"]) == 0
+        assert capsys.readouterr().out == cli.__version__ + "\n"
+        assert len(parsers) == 3 and parsers[0] is parsers[1] is parsers[2]
+
     @pytest.mark.parametrize("command", ["synth", "build-model", "segment", "energy", "reinit"])
     def test_subcommand_help(self, command, capsys):
         assert run_cli([command, "--help"]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import struct
 import tracemalloc
@@ -228,6 +229,14 @@ class TestPose:
         v[["tau", "theta", "tx", "ty"].index(name)] = bad
         with pytest.raises(ValueError, match="finite"):
             Pose(*v)
+
+    @pytest.mark.parametrize("name", ["tau", "theta", "tx", "ty"])
+    def test_fields_are_frozen(self, name):
+        # an assignment would skip the finiteness check, the clamp of tau and the wrap of theta
+        pose = Pose(tau=2.0, theta=1.0, tx=3.0, ty=4.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(pose, name, 100.0)
+        assert pose == Pose(tau=2.0, theta=1.0, tx=3.0, ty=4.0)
 
     @settings(max_examples=500, deadline=None)
     @given(st.floats(0.1, 5.0), st.floats(-np.pi, np.pi),

@@ -1,3 +1,6 @@
+import dataclasses
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,14 +234,15 @@ class TestRender:
 
     def test_arc_occlusion_needs_a_centred_shape(self):
         # a halfplane's shape[1:3] is its normal, not a centre; the spec is
-        # rejected when it is made, and render still rejects one edited later
+        # rejected when it is made, and a made spec cannot be edited into one
         with pytest.raises(ValueError, match="arc occlusion needs a disk or ellipse, not a halfplane"):
             SceneSpec(width=32, height=32, shape=("halfplane", 1.0, 0.0, 16.0),
                       occlusion=("arc", 0.0, 1.0))
         spec = SceneSpec(width=32, height=32, shape=("halfplane", 1.0, 0.0, 16.0))
-        spec.occlusion = ("arc", 0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.occlusion = ("arc", 0.0, 1.0)
         with pytest.raises(ValueError, match="arc occlusion needs a disk or ellipse, not a halfplane"):
-            synth.render(spec)
+            replace(spec, occlusion=("arc", 0.0, 1.0))
 
     def test_unknown_kinds(self):
         with pytest.raises(ValueError, match="^unknown shape kind 'blob'$"):
@@ -341,8 +345,20 @@ class TestSceneValidation:
         dict(occlusion=("box", 0.0, 0.0, np.nan, 4.0)),
     ])
     def test_non_finite_or_negative_rejected(self, kw):
-        with pytest.raises(ValueError, match="finite"):
-            SceneSpec(**{"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0), **kw})
+        base = {"width": 32, "height": 32, "shape": ("disk", 15.5, 15.5, 8.0)}
+        with pytest.raises(ValueError, match="finite") as made:
+            SceneSpec(**{**base, **kw})
+        # replace makes a new spec, so the same check rejects an edited copy
+        with pytest.raises(ValueError) as edited:
+            replace(SceneSpec(**base), **kw)
+        assert str(edited.value) == str(made.value)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SceneSpec)])
+    def test_fields_are_frozen(self, name):
+        # an assignment would skip every check above
+        spec = SceneSpec(noise_std=1.0, occlusion=("box", 0.0, 0.0, 4.0, 4.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, getattr(spec, name))
 
     @pytest.mark.parametrize("kw, match", [
         (dict(width=0, shape=("halfplane", 1.0, 0.0, 5.0)), ">= 1"),
