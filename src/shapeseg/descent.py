@@ -137,8 +137,8 @@ def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights,
     return bd
 
 
-def grad_phi_total(state: SegmentationState, image, g, model,
-                   w: EnergyWeights, phi_t=None) -> np.ndarray:
+def grad_phi_total(state: SegmentationState, g, model, w: EnergyWeights,
+                   phi_t=None) -> np.ndarray:
     """Exact gradient of the discrete total energy with respect to phi.
 
     F4 does not depend on phi, so the gradient is the F1 stencil adjoint, the
@@ -149,11 +149,10 @@ def grad_phi_total(state: SegmentationState, image, g, model,
     # the result is checked below, so NumPy's overflow warnings would only repeat
     # that; so would a division by an eps*eps that underflows to 0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # F2's weight: a model's first, so its warp's temporaries are gone before
-        # the phi arrays exist; without one it is xi*g, built where it is needed
-        # so that no copy of it is held across the gradient and the divergence
-        f2w = None if model is None else energy.f2_weight(
-            g, prior_field(model, state.lam, state.pose), w)
+        # a model's prior first, so its warp's temporaries are gone before the phi
+        # arrays exist; F2's weight f2w is built from it where it is needed, so
+        # that no copy of it is held across the gradient and the divergence
+        pw = None if model is None else prior_field(model, state.lam, state.pose)
         phi = state.phi
         m, d = (phi_t or energy.phi_terms(phi, g, w))[:2]
         # each term in a buffer of its own, with the operations of the written-out
@@ -161,11 +160,8 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         # flux through the gradient: (alpha*(m-1) + f2w*dirac) * grad(phi)/m
         scale = m - 1.0
         scale *= w.alpha
-        if f2w is None:
-            t = energy.f2_weight(g, None, w)
-            t *= d
-        else:
-            t = f2w * d
+        t = energy.f2_weight(g, pw, w)
+        t *= d
         scale += t
         del t
         scale /= m
@@ -181,7 +177,7 @@ def grad_phi_total(state: SegmentationState, image, g, model,
         dp = -2.0 * phi
         dp /= w.eps * w.eps
         dp *= d
-        dp *= energy.f2_weight(g, None, w) if f2w is None else f2w
+        dp *= energy.f2_weight(g, pw, w)
         dp *= m
         out += dp
         # d(H_eps(-phi))/dphi in F3: -beta * g * dirac, in dp's buffer
@@ -273,7 +269,8 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
 
     The set-up holds the iterate's padded box, on which the sweeps run, and
     per colour the weights of the pixel and of its left and upper neighbours,
-    the diagonal, the weighted image and the entries a sweep never changes.
+    the diagonal, the weighted image and the mask of the pixels a sweep
+    solves, those with diag > 0 on the box; a sweep writes only those.
     The padded crops it builds them from are held only while needed: the
     weight crop with a one-byte box-or-pad mask, then, once both are freed,
     the image crop.
@@ -331,15 +328,13 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             pos = np.multiply(diag, at(inside, st)) > 0
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
-            # the entries a sweep never changes, with their start values
-            keep = np.flatnonzero(~pos)
-            colours.append((st, views, wg, wl, wu, diag, keep, views[0][keep]))
+            colours.append((st, views, wg, wl, wu, diag, pos))
         # the sweeps read only the per-colour copies: free the weight crop before
         # the image is cropped, and the image crop once both colours have wg * image
         del wp, inside, pos
         imp = crop(image)
-        colours = [(views, wg * at(imp, st), wg, wl, wu, diag, keep, kept)
-                   for st, views, wg, wl, wu, diag, keep, kept in colours]
+        colours = [(views, wg * at(imp, st), wg, wl, wu, diag, pos)
+                   for st, views, wg, wl, wu, diag, pos in colours]
         del imp
         # two work arrays for the right-hand side, shared by both colours
         rhs, t = np.empty((2, n))
@@ -349,7 +344,7 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
         for k in range(1, sweeps + 1):
             if k == check:
                 before = black.tobytes()
-            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, keep, kept in colours:
+            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
                 # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
                 np.add(jr, jd, out=rhs)
                 rhs *= wg
@@ -357,9 +352,7 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
                 rhs += np.multiply(wu, ju, out=t)
                 rhs *= mu
                 rhs += wi
-                # the whole slice, then the entries with diag <= 0 (and the pads) put back
-                np.divide(rhs, diag, out=j)
-                j[keep] = kept
+                np.divide(rhs, diag, out=j, where=pos)
             if k == check:
                 if black.tobytes() == before:
                     break
@@ -434,7 +427,7 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
         state, e_base = gate(state, e_base, lambda s: _with_params(
             state, np.clip(x0 - s * steps * gp, lo, hi)))
 
-    gphi = grad_phi_total(state, image, g, model, w, _phi_t(carry, state, g, w))
+    gphi = grad_phi_total(state, g, model, w, _phi_t(carry, state, g, w))
     gmax = float(np.max(np.abs(gphi)))
     dt = min(DT_PHI, 0.5 / gmax) if gmax > 0 else DT_PHI
     rms = band_rms(gphi, state.phi, w.eps)

@@ -118,7 +118,7 @@ def test_level_set_gradient_matches_finite_differences():
     worst = 0.0
     for phi, img in fixtures:
         g = energy.edge_indicator(img, w.eta, w.sigma)
-        an = descent.grad_phi_total(SegmentationState(phi=phi), img, g, None, w)
+        an = descent.grad_phi_total(SegmentationState(phi=phi), g, None, w)
         r = np.random.default_rng(7)
         pys = r.integers(0, 128, 200)
         pxs = r.integers(0, 128, 200)

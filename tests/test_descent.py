@@ -63,7 +63,7 @@ def fd_phi_gradient(state, image, g, model, w, pixels, h=1e-4):
 
 class TestGradPhiTotal:
     def _check(self, state, image, g, model, w):
-        an = descent.grad_phi_total(state, image, g, model, w)
+        an = descent.grad_phi_total(state, g, model, w)
         rng = np.random.default_rng(11)
         # random pixels plus a band of near-contour ones where every term is live
         pix = [(int(y), int(x)) for y, x in
@@ -105,7 +105,7 @@ class TestGradPhiTotal:
         phi[3, 3] = np.nan
         g = np.ones_like(phi)
         with pytest.raises(descent.NumericalAbort):
-            descent.grad_phi_total(SegmentationState(phi=phi), np.zeros_like(phi), g, None, W)
+            descent.grad_phi_total(SegmentationState(phi=phi), g, None, W)
 
 
 class TestGradParams:
@@ -992,9 +992,9 @@ class TestFieldsComputedOncePerStep:
             seen.append(fields)
             return out
 
-        def grad_phi_total(state, image, g, model, w, *fields):
-            out = real_grad(state, image, g, model, w, *fields)
-            assert out.tobytes() == real_grad(_carry_free(state), image, g, model, w).tobytes()
+        def grad_phi_total(state, g, model, w, *fields):
+            out = real_grad(state, g, model, w, *fields)
+            assert out.tobytes() == real_grad(_carry_free(state), g, model, w).tobytes()
             seen.append(fields)
             return out
 
@@ -1143,8 +1143,8 @@ class TestKernelsLeaveInputsUntouched:
         before = self._inputs(img, g, model, state, phi_t, fits)
         calls = [lambda: descent.evaluate(state, img, g, model, self.W),
                  lambda: descent.evaluate(state, img, g, model, self.W, phi_t, fits),
-                 lambda: descent.grad_phi_total(state, img, g, model, self.W),
-                 lambda: descent.grad_phi_total(state, img, g, model, self.W, phi_t)]
+                 lambda: descent.grad_phi_total(state, g, model, self.W),
+                 lambda: descent.grad_phi_total(state, g, model, self.W, phi_t)]
         if model is not None:
             calls += [lambda: descent.grad_params(state, img, g, model, self.W, 1e-3),
                       lambda: descent.grad_params(state, img, g, model, self.W, 1e-3,
@@ -1165,8 +1165,46 @@ class TestKernelsLeaveInputsUntouched:
         img = np.where(phi < 0, 200.0, 50.0)
         g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
         state = SegmentationState(phi=phi)
-        peak = traced_peak(lambda: descent.grad_phi_total(state, img, g, None, self.W))
+        peak = traced_peak(lambda: descent.grad_phi_total(state, g, None, self.W))
         assert peak <= 6 * phi.nbytes + 4096, peak / phi.nbytes
+
+    @pytest.fixture(scope="class")
+    def arc_prior(self):
+        """The occluded-arc scene's p=2 disk model on 128 x 128, at a rotated pose."""
+        masks = [synth.truth_mask(synth.SceneSpec(width=128, height=128,
+                                                  shape=("disk", 63.5, 63.5, float(r))))
+                 for r in range(14, 27, 2)]
+        model = shape_prior.build_shape_model([shape_prior.sdf_from_mask(m) for m in masks], p=2)
+        phi = disk_sdf(128, 128, 60.3, 66.1, 30.0)
+        img = np.where(phi < 0, 200.0, 50.0)
+        g = energy.edge_indicator(img, self.W.eta, self.W.sigma)
+        state = replace(descent.init_state(img, model, self.W), phi=phi,
+                        pose=Pose(1.0, 0.1, 0.0, 0.0))
+        return img, g, model, state
+
+    def test_model_grad_phi_total_peak(self, monkeypatch, arc_prior):
+        # 6.09 grids on 128 x 128, all of them the prior warp's, which runs before
+        # the gradient's own arrays exist: a grid held across the warp reads 7.09
+        _, g, model, state = arc_prior
+        phi_t = energy.phi_terms(state.phi, g, self.W)
+        nbytes = state.phi.nbytes
+        peak = traced_peak(lambda: descent.grad_phi_total(state, g, model, self.W, phi_t))
+        assert peak <= 6.1 * nbytes, peak / nbytes
+        # after the warp, 5 grids with the prior, so a grid more there fits under the
+        # warp's peak; a copy of the prior in its place shows it (it reads 5 grids
+        # and 1.9 KiB: the allowance is as in the prior-free test)
+        pw = descent.prior_field(model, state.lam, state.pose)
+        monkeypatch.setattr(descent, "prior_field", lambda *a: pw.copy())
+        peak = traced_peak(lambda: descent.grad_phi_total(state, g, model, self.W, phi_t))
+        assert peak <= 5 * nbytes + 4096, peak / nbytes
+
+    def test_refresh_approximants_peak(self, arc_prior):
+        # 10.88 grids on 128 x 128; a smooth Heaviside is positive everywhere, so
+        # each solve's box is the whole grid. A grid more reads 11.88
+        img, g, model, state = arc_prior
+        peak = traced_peak(lambda: descent.refresh_approximants(state, img, model, self.W,
+                                                                descent.SWEEPS))
+        assert peak <= 11 * state.phi.nbytes, peak / state.phi.nbytes
 
     def test_breakdown_and_warp(self, scene):
         img, g, model, state, phi_t, fits = scene
