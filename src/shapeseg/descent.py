@@ -267,13 +267,14 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     parity; so each colour is one stride-2 slice, and a sweep is two passes.
     An overflow is left for the energy's finiteness check to report.
 
-    The set-up holds the iterate's padded box, on which the sweeps run, and
-    per colour the weights of the pixel and of its left and upper neighbours,
-    the diagonal, the weighted image and the mask of the pixels a sweep
-    solves, those with diag > 0 on the box; a sweep writes only those.
-    The padded crops it builds them from are held only while needed: the
-    weight crop with a one-byte box-or-pad mask, then, once both are freed,
-    the image crop.
+    The solve holds the padded boxes of the iterate, on which the sweeps
+    run, and of the weights, of which each colour reads the pixel's and its
+    left and upper neighbours' as stride-2 views; and per colour the
+    diagonal, the weighted image and the mask of the pixels a sweep solves,
+    those with diag > 0 on the box; a sweep writes only those. The set-up
+    holds a one-byte box-or-pad mask until both diagonals are built, and
+    then, once it is freed, the image's padded box until both weighted
+    images are.
 
     ``sweeps`` is an upper bound: a sweep is a deterministic function of the
     iterate, so once one leaves it bit for bit unchanged, every later one
@@ -320,8 +321,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for c in (0, 1):        # red ((x + y) even), then black
             st = a + (a + x0 + y0 + c) % 2
-            # the weights of the pixel, its left and its upper neighbour
-            wg, wl, wu = (at(wp, st, d).copy() for d in (0, -1, -p))
+            # the weights of the pixel, its left and its upper neighbour: views of
+            # the weight crop, one grid for both colours where copies would be three
+            wg, wl, wu = (at(wp, st, d) for d in (0, -1, -p))
             diag = wg + mu * (wg * (at(inside, st, 1) + at(inside, st, p)) + wl + wu)
             # a pad right of a box on the grid's right edge has diag > 0 through
             # its left neighbour; inside is 1 on the box and 0 on the pads
@@ -329,9 +331,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
             # j, then its right, lower, left and upper neighbours
             views = [at(jp, st, d) for d in (0, 1, p, -1, -p)]
             colours.append((st, views, wg, wl, wu, diag, pos))
-        # the sweeps read only the per-colour copies: free the weight crop before
-        # the image is cropped, and the image crop once both colours have wg * image
-        del wp, inside, pos
+        # free the box mask before the image is cropped, and the image crop once
+        # both colours have wg * image
+        del inside, pos
         imp = crop(image)
         colours = [(views, wg * at(imp, st), wg, wl, wu, diag, pos)
                    for st, views, wg, wl, wu, diag, pos in colours]
@@ -518,24 +520,28 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     image = field.as_field(image)
     check_model_grid(model, image)
     g = energy.edge_indicator(image, w.eta, w.sigma)
-    state = init_state(image, model, w)
     reason = "max_iters"
-    # one carry for the whole run: each step starts from the fields the last one left
-    state = replace(state, _carry=[])
+    # one carry for the whole run: each step starts from the fields the last one left.
+    # The state lives only in this one-slot list, popped into each step's call, so
+    # nothing here holds the state a model step refreshes, and the approximants it
+    # replaces are freed when it replaces them (from Python 3.11, where a call owns
+    # its arguments; before, the caller holds them until the call returns)
+    held = [replace(init_state(image, model, w), _carry=[])]
     # the run's records; each step gets a state without them, so it copies no history
     trace = []
     for _ in range(cfg.max_iters):
-        prev = state
-        state = step(replace(state, trace=[]), image, g, model, w, cfg)
-        trace += state.trace
-        if state.phi_grad_rms < STATIONARY_RMS:
+        # the two facts the stall rule reads of the state a step starts from
+        phi, rested = held[0].phi, held[0].velocity is None
+        held.append(step(replace(held.pop(), trace=[]), image, g, model, w, cfg))
+        trace += held[0].trace
+        if held[0].phi_grad_rms < STATIONARY_RMS:
             reason = "stationary"
             break
         # a revert hands back the very phi array it was given
-        if model is None and prev.velocity is None and state.phi is prev.phi:
+        if model is None and rested and held[0].phi is phi:
             reason = "stalled"
             break
-    return replace(state, trace=trace, stop_reason=reason, _carry=None)
+    return replace(held.pop(), trace=trace, stop_reason=reason, _carry=None)
 
 
 def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:

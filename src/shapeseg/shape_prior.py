@@ -162,15 +162,15 @@ def build_shape_model(sdfs, p: int) -> ShapeModel:
 
     stack = np.stack([s.ravel() for s in sdfs])      # (N, M)
     mean = stack.mean(axis=0)
-    centered = stack - mean
-    gram = centered @ centered.T
+    stack -= mean       # centred in place, so N fields are held, not 2N
+    gram = stack @ stack.T
     evals, evecs = np.linalg.eigh(gram)              # ascending
     order = np.argsort(evals)[::-1][:p]
     evals = np.maximum(evals[order], 0.0)
 
     modes = np.empty((p, stack.shape[1]))
     for k in range(p):
-        u = centered.T @ evecs[:, order[k]]
+        u = stack.T @ evecs[:, order[k]]
         norm = float(np.sqrt(np.sum(u * u)))   # fixed order: no threaded BLAS
         if norm <= 1e-12:
             # zero-spread direction: fall back to an arbitrary unit vector

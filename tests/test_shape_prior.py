@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from shapeseg import field, shape_prior, synth
 from shapeseg.shape_prior import Pose
 
-from conftest import disk_mask, grid
+from conftest import disk_mask, grid, traced_peak
 
 
 def nearest_opposite_sdf(m):
@@ -168,6 +168,16 @@ class TestBuildShapeModel:
         sdfs = ellipse_sdfs(n=4)
         m1 = shape_prior.build_shape_model(sdfs, p=2)
         assert np.allclose(m1.lambda_box[:, 1], 3 * np.sqrt(m1.variances))
+
+    def test_peak(self):
+        # 12.02 grids for seven 128 x 128 SDFs: their stack, centred in place, the
+        # mean, the two modes and a mode's two work arrays. It read 19.03 when the
+        # centred stack was a second copy
+        sdfs = [shape_prior.sdf_from_mask(disk_mask(128, 128, 63.5, 63.5, r))
+                for r in range(14, 27, 2)]
+        nbytes = sdfs[0].nbytes
+        peak = traced_peak(lambda: shape_prior.build_shape_model(sdfs, p=2))
+        assert peak <= 12.1 * nbytes, peak / nbytes
 
 
 @pytest.fixture(scope="module")
