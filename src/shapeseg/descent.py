@@ -118,19 +118,24 @@ def prior_field(model: ShapeModel, lam, pose: Pose) -> np.ndarray:
 
 
 def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights,
-             phi_t=None, fits=None) -> EnergyBreakdown:
+             phi_t=None, fits=None, f4=None) -> EnergyBreakdown:
     """Total energy of a state; prior-free when model is None.
 
     ``phi_t`` and ``fits`` are the state's :func:`energy.phi_terms` and
-    :func:`energy.fit_terms`, which ``step`` computes once and hands down (only
-    its carry crosses steps); each one left None is computed here.
+    :func:`energy.fit_terms`, and ``f4`` its :func:`energy.energy_f4`, which
+    ``step`` computes once and hands down (only its carry crosses steps); each
+    one left None is computed here, and ``fits`` only when ``f4`` is.
     """
     # every term is checked below, so NumPy's overflow warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         pw = None if model is None else prior_field(model, state.lam, state.pose)
-        if pw is not None and fits is None:
-            fits = energy.fit_terms(image, state.i_in, state.i_out, w)
-        bd = energy.breakdown(phi_t or energy.phi_terms(state.phi, g, w), fits, g, pw, w)
+        if pw is not None and f4 is None:
+            if fits is None:
+                fits = energy.fit_terms(image, state.i_in, state.i_out, w)
+            f4 = energy.energy_f4(fits, pw, w)
+            # F4's fields go before phi's are made
+            del fits
+        bd = energy.breakdown(phi_t or energy.phi_terms(state.phi, g, w), f4, g, pw, w)
     for name in ("f1", "f2", "f3", "f4", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise NumericalAbort(f"non-finite energy term {name}")
@@ -274,7 +279,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     those with diag > 0 on the box; a sweep writes only those. The set-up
     holds a one-byte box-or-pad mask until both diagonals are built, and
     then, once it is freed, the image's padded box until both weighted
-    images are.
+    images are. The solve lets go of ``wgt`` once it holds the crop, and
+    frees the sweeps' work arrays (the right-hand side and the fixed-point
+    test's copy of black) before it builds its output.
 
     ``sweeps`` is an upper bound: a sweep is a deterministic function of the
     iterate, so once one leaves it bit for bit unchanged, every later one
@@ -311,6 +318,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     # inside is 1 on the box and 0 on the pads, one byte a pixel; not bool, whose
     # 1 + 1 would be a logical or
     jp, wp, inside = crop(warm), crop(wgt), crop(np.broadcast_to(1, (h, w)), np.uint8)
+    # the crop is all the solve reads of the weights, so a caller that hands over
+    # its only reference (as refresh_approximants does) has them freed here
+    del wgt
     a, last = p + 1, bh * p + bw        # the box's first and last pixel
     n = (last - a) // 2 + 1     # per colour; an odd span gains one index, a pad kept as is
 
@@ -338,43 +348,62 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
         colours = [(views, wg * at(imp, st), wg, wl, wu, diag, pos)
                    for st, views, wg, wl, wu, diag, pos in colours]
         del imp
-        # two work arrays for the right-hand side, shared by both colours
-        rhs, t = np.empty((2, n))
-        # stop at the fixed point (see above): black's bytes before and after
-        # sweeps 1, 4, 16, 64, ...
-        black, check = colours[1][0][0], 1
-        for k in range(1, sweeps + 1):
-            if k == check:
-                before = black.tobytes()
-            for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
-                # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
-                np.add(jr, jd, out=rhs)
-                rhs *= wg
-                rhs += np.multiply(wl, jl, out=t)
-                rhs += np.multiply(wu, ju, out=t)
-                rhs *= mu
-                rhs += wi
-                np.divide(rhs, diag, out=j, where=pos)
-            if k == check:
-                if black.tobytes() == before:
-                    break
-                check *= 4
+        # the sweeps' work arrays live in _sweep's frame, so they are gone before
+        # the output is made
+        _sweep(colours, mu, sweeps)
     out = np.array(warm, dtype=np.float64)
     out[y0:y1, x0:x1] = jp.reshape(bh + 2, p)[1:-1, 1:bw + 1]
     return out
 
 
+def _sweep(colours, mu: float, sweeps: int) -> None:
+    """Up to ``sweeps`` red-black sweeps of :func:`solve_smooth_approximant`, in place.
+
+    ``colours`` holds per colour the iterate views (j and its right, lower,
+    left and upper neighbours), the weighted image, the three weight views,
+    the diagonal and the mask of the pixels solved.
+    """
+    # stop at the fixed point (see solve_smooth_approximant): black's bytes before
+    # and after sweeps 1, 4, 16, 64, ...
+    black, check = colours[1][0][0], 1
+    # two work arrays for the right-hand side, shared by both colours
+    rhs, t = np.empty((2, black.size))
+    for k in range(1, sweeps + 1):
+        if k == check:
+            before = black.tobytes()
+        for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
+            # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
+            np.add(jr, jd, out=rhs)
+            rhs *= wg
+            rhs += np.multiply(wl, jl, out=t)
+            rhs += np.multiply(wu, ju, out=t)
+            rhs *= mu
+            rhs += wi
+            np.divide(rhs, diag, out=j, where=pos)
+        if k == check:
+            if black.tobytes() == before:
+                return
+            check *= 4
+
+
 def refresh_approximants(state: SegmentationState, image, model,
                          w: EnergyWeights, sweeps: int) -> SegmentationState:
-    """Gauss-Seidel refresh of I_in and I_out for the current prior region."""
+    """Gauss-Seidel refresh of I_in and I_out for the current prior region.
+
+    The state is rebound once I_in is solved, so a caller that hands over its
+    only reference to it (as ``step`` does) has the replaced I_in freed before
+    the I_out solve (from Python 3.11; see :func:`segment`).
+    """
     # H(-prior) in the buffer of -prior
     wgt = -prior_field(model, state.lam, state.pose)
     wgt = energy.heaviside_eps(wgt, w.eps, out=wgt)
-    i_in = solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in)
-    # 1 - wgt in wgt's buffer, so the I_out solve holds one weight field, not two
-    i_out = solve_smooth_approximant(image, np.subtract(1.0, wgt, out=wgt), w.mu, sweeps,
-                                     state.i_out)
-    return replace(state, i_in=i_in, i_out=i_out)
+    state = replace(state, i_in=solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in))
+    # 1 - wgt in wgt's buffer, so the I_out solve holds one weight field, not two;
+    # handed over in a one-slot list, so the solve frees it once it has the crop
+    held = [np.subtract(1.0, wgt, out=wgt)]
+    del wgt
+    return replace(state, i_out=solve_smooth_approximant(image, held.pop(), w.mu, sweeps,
+                                                         state.i_out))
 
 
 def _phi_t(carry: list, st: SegmentationState, g, w: EnergyWeights):
@@ -396,38 +425,57 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     gradient this step took, and its ``velocity`` the phi step it accepted
     (None after a restart; every model step restarts, and reads none).
 
-    Each field is computed once and handed down: the refreshed approximants'
-    F4 fits and each phi's :func:`energy.phi_terms` go to every
-    :func:`evaluate`, :func:`grad_phi_total` and :func:`grad_params` call that
-    needs them. Only the carry crosses steps: the accepted phi's fields, in the
-    ``_carry`` that ``segment`` seeds. A state without one gets a fresh slot,
-    so a caller may edit its phi in place between steps.
+    Each field is computed once and handed down: each phi's
+    :func:`energy.phi_terms` to every :func:`evaluate`, :func:`grad_phi_total`
+    and :func:`grad_params` call on it; the refreshed approximants' F4 fits to
+    the base :func:`evaluate`, the parameter probes and the parameter trials;
+    and F4 itself, which depends only on the prior and the fits, from the base
+    record or an accepted parameter trial to the phi trials and the record, so
+    the fits are freed after the parameter gate. Only the carry crosses steps:
+    the accepted phi's fields, in the ``_carry`` that ``segment`` seeds. A
+    state without one gets a fresh slot, so a caller may edit its phi in place
+    between steps.
     """
     carry = [] if state._carry is None else state._carry
     if model is not None:
-        state = refresh_approximants(state, image, model, w, SWEEPS)
+        # the state in a one-slot list, popped into the call, so that nothing here
+        # holds the I_in the refresh replaces through its I_out solve (see segment)
+        held = [state]
+        del state
+        state = refresh_approximants(held.pop(), image, model, w, SWEEPS)
     # evaluate checks every term the fits feed
     with np.errstate(over="ignore", invalid="ignore"):
         fits = None if model is None else energy.fit_terms(image, state.i_in, state.i_out, w)
 
-    e_base = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), fits).total
+    bd = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), fits)
+    # the base's energy and F4, and not its record
+    e_base, f4 = bd.total, bd.f4
+    del bd
 
-    def gate(state, e_base, trial_at):
-        """Full, else half trial, if its energy rises at most tol*|e_base|; else revert."""
+    def gate(state, e_base, f4, trial_at, fits):
+        """Full, else half trial, if its energy rises at most tol*|e_base|; else revert.
+
+        Returns the state it keeps with its energy and F4. A parameter trial
+        moves the prior, so it is evaluated with the ``fits``; a phi trial,
+        handed fits of None, with ``f4``.
+        """
         for scale in (1.0, 0.5):
             trial = trial_at(scale)
-            e_trial = evaluate(trial, image, g, model, w, _phi_t(carry, trial, g, w), fits).total
-            if e_trial <= e_base + cfg.tol * abs(e_base):
-                return trial, e_trial
-        return state, e_base
+            bd = evaluate(trial, image, g, model, w, _phi_t(carry, trial, g, w), fits,
+                          f4 if fits is None else None)
+            if bd.total <= e_base + cfg.tol * abs(e_base):
+                return trial, bd.total, bd.f4
+        return state, e_base, f4
 
     if model is not None:
         gp = grad_params(state, image, g, model, w, FD_H, _phi_t(carry, state, g, w), fits)
         lo, hi = _param_boxes(model)
         x0 = _params(state)
         steps = np.concatenate([np.full(model.p, STEP_LAMBDA), np.full(4, STEP_POSE)])
-        state, e_base = gate(state, e_base, lambda s: _with_params(
-            state, np.clip(x0 - s * steps * gp, lo, hi)))
+        state, e_base, f4 = gate(state, e_base, f4, lambda s: _with_params(
+            state, np.clip(x0 - s * steps * gp, lo, hi)), fits)
+    # the prior is now fixed for the step, and every later evaluate takes its F4
+    del fits
 
     gphi = grad_phi_total(state, g, model, w, _phi_t(carry, state, g, w))
     gmax = float(np.max(np.abs(gphi)))
@@ -450,12 +498,12 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
             np.multiply(move, s, out=move)
         return replace(state, phi=state.phi + move, velocity=move)
 
-    trial, e_trial = gate(state, e_base, trial_at)
+    trial, e_trial, _ = gate(state, e_base, f4, trial_at, None)
     # restart after every model step, a revert or a step that raised the energy
     restart = model is not None or trial is state or e_trial > e_base
     state = replace(trial, velocity=None) if restart else trial
 
-    bd = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), fits)
+    bd = evaluate(state, image, g, model, w, _phi_t(carry, state, g, w), None, f4)
     # a new list, so the caller's state keeps its own trace
     return replace(state, iter=state.iter + 1, trace=[*state.trace, bd], phi_grad_rms=rms)
 

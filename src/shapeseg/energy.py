@@ -146,12 +146,17 @@ def dirac_eps(z, eps: float):
         s *= s
     # exp is slow where its result is subnormal, so it runs only up to a hair
     # beyond the s^2 = -log(tiny*eps*sqrt(pi)) where the result leaves the
-    # normal range (and on NaN, which fails every comparison)
-    run = ~(s > -_LOG_TINY - math.log(eps) - 0.5 * math.log(math.pi) + 1e-6)
-    # exp in s's buffer, then 0 where it did not run, as exp(-inf) would give
+    # normal range (and on NaN, which fails every comparison); the mask is
+    # inverted in place (a 0-d array for a scalar z), so the call holds one
+    # mask at a time
+    run = np.asarray(s > -_LOG_TINY - math.log(eps) - 0.5 * math.log(math.pi) + 1e-6)
+    np.logical_not(run, out=run)
+    # exp in s's buffer; where it did not run, s keeps -(z/eps)^2, which stays
+    # negative through the division, so the flush below sets it to 0, as
+    # exp(-inf) would give
     np.negative(s, out=s)
     np.exp(s, out=s, where=run)
-    np.copyto(s, 0.0, where=~run)
+    del run
     s /= eps * np.sqrt(np.pi)
     np.copyto(s, 0.0, where=s < _TINY)
     return s[()]    # a scalar for a scalar z
@@ -265,41 +270,48 @@ def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
     return m, d, f1, energy_f3(phi, g, w), f2
 
 
-def breakdown(phi_t, fits, g: np.ndarray, prior_warped,
-              w: EnergyWeights) -> EnergyBreakdown:
-    """Every term and the total from :func:`phi_terms` and :func:`fit_terms`.
+def energy_f4(fits, prior_warped, w: EnergyWeights) -> float:
+    """F4 from :func:`fit_terms`: the fits inside and outside the prior region, plus its length.
 
-    F2 is the sum of its weight times dirac(phi) times |grad phi|. F4 fits
-    I_in inside the prior region H_eps(-prior_warped) (negative inside) and
-    I_out outside it, plus zeta times the prior's contour length. The total
+    I_in is fitted inside the prior region H_eps(-prior_warped) (negative
+    inside) and I_out outside it, and zeta weights the prior's contour
+    length. F4 does not depend on phi.
+    """
+    fit_in, fit_out = fits
+    if fit_in.shape != prior_warped.shape:
+        raise ValueError("field dimensions differ")
+    # fit_in*h_in + fit_out*(1 - h_in), built in the buffer of -prior_warped;
+    # the fits may be the caller's and stay untouched
+    h_in = np.negative(prior_warped)
+    h_in = heaviside_eps(h_in, w.eps, out=h_in)
+    fit = fit_in * h_in
+    np.subtract(1.0, h_in, out=h_in)
+    h_in *= fit_out
+    fit += h_in
+    f4 = float(np.sum(fit))
+    # both freed before the prior's curve length makes its own fields
+    del h_in, fit
+    return f4 + w.zeta * curve_length(prior_warped, w.eps)
+
+
+def breakdown(phi_t, f4: float, g: np.ndarray, prior_warped,
+              w: EnergyWeights) -> EnergyBreakdown:
+    """Every term and the total from :func:`phi_terms` and :func:`energy_f4`.
+
+    F2 is the sum of its weight times dirac(phi) times |grad phi|. The total
     is (alpha/2)*F1 + F2 + beta*F3 + nu*F4. ``prior_warped`` of None selects
     the prior-free reduction: F2 is then the one ``phi_t`` carries, F4 is 0,
-    ``fits`` is unused and nothing touches a field.
+    ``f4`` is unused and nothing touches a field.
     """
     m, d, f1, f3, f2 = phi_t
-    f4 = 0.0
-    if prior_warped is not None:
+    if prior_warped is None:
+        f4 = 0.0
+    else:
         # f2_weight's array is fresh; d and m may be the caller's and stay untouched
         f2w = f2_weight(g, prior_warped, w)
         f2w *= d
         f2w *= m
         f2 = float(np.sum(f2w))
-        del f2w
-        fit_in, fit_out = fits
-        if fit_in.shape != prior_warped.shape:
-            raise ValueError("field dimensions differ")
-        # fit_in*h_in + fit_out*(1 - h_in), built in the buffer of -prior_warped;
-        # the fits may be the caller's and stay untouched
-        h_in = np.negative(prior_warped)
-        h_in = heaviside_eps(h_in, w.eps, out=h_in)
-        fit = fit_in * h_in
-        np.subtract(1.0, h_in, out=h_in)
-        h_in *= fit_out
-        fit += h_in
-        f4 = float(np.sum(fit))
-        # both freed before the prior's curve length makes its own fields
-        del h_in, fit
-        f4 += w.zeta * curve_length(prior_warped, w.eps)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 
@@ -311,5 +323,6 @@ def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
     ``prior_warped`` of None selects the prior-free reduction: F2 carries only
     the edge weight and F4 is dropped entirely (reported as 0).
     """
-    fits = None if prior_warped is None else fit_terms(image, i_in, i_out, w)
-    return breakdown(phi_terms(phi, g, w), fits, g, prior_warped, w)
+    f4 = None if prior_warped is None else energy_f4(fit_terms(image, i_in, i_out, w),
+                                                     prior_warped, w)
+    return breakdown(phi_terms(phi, g, w), f4, g, prior_warped, w)

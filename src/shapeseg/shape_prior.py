@@ -81,15 +81,16 @@ def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
     """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre.
 
     An unrotated map's coordinates are a row and a column, sampled in one
-    piece. A rotated map's are full grids, so they are made and sampled one
-    row half at a time into one output, and at most half of them are held at
-    once.
+    piece. A rotated map's are full grids, so they are made and sampled a
+    quarter of the rows at a time into one output, and at most a quarter of
+    them are held at once.
     """
     if pose.theta == 0.0:
         return field.bilinear_sample(f, *_warp_coords(f.shape, pose), outside)
     h = f.shape[0]
     out = np.empty(f.shape, f.dtype)
-    for rows in (slice(0, h // 2), slice(h // 2, h)):
+    for k in range(4):
+        rows = slice(k * h // 4, (k + 1) * h // 4)
         field.bilinear_sample(f, *_warp_coords(f.shape, pose, rows), outside, out=out[rows])
     return out
 

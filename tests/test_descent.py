@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import re
 import sys
 import time
 import weakref
@@ -990,16 +991,16 @@ class TestFieldsComputedOncePerStep:
         also check itself against a fresh call on copies of its state."""
         real_eval, real_grad = descent.evaluate, descent.grad_phi_total
 
-        def evaluate(state, image, g, model, w, *fields):
-            out = real_eval(state, image, g, model, w, *fields)
+        def evaluate(state, image, g, model, w, phi_t=None, fits=None, f4=None):
+            out = real_eval(state, image, g, model, w, phi_t, fits, f4)
             assert _bits(out) == _bits(real_eval(_carry_free(state), image, g, model, w))
-            seen.append(fields)
+            seen.append(("evaluate", phi_t, fits, f4))
             return out
 
-        def grad_phi_total(state, g, model, w, *fields):
-            out = real_grad(state, g, model, w, *fields)
+        def grad_phi_total(state, g, model, w, phi_t=None):
+            out = real_grad(state, g, model, w, phi_t)
             assert out.tobytes() == real_grad(_carry_free(state), g, model, w).tobytes()
-            seen.append(fields)
+            seen.append(("grad_phi_total", phi_t, None, None))
             return out
 
         monkeypatch.setattr(descent, "evaluate", evaluate)
@@ -1014,13 +1015,22 @@ class TestFieldsComputedOncePerStep:
         seen = []
         self._checked(monkeypatch, seen)
         for _ in range(3):
+            del seen[:]
             state = descent.step(state, img, g, model, self.W, DescentConfig())
-        assert len(seen) >= 3 * (17 if with_model else 4)
-        # the step hands every call its phi's fields, and with a model the fits
-        # (grad_params hands them on to each of its evaluate calls)
-        for fields in seen:
-            assert fields[0] is not None
-            assert all((f is not None) == with_model for f in fields[1:])
+            assert len(seen) >= (17 if with_model else 4)
+            # the step hands every call its phi's fields. With a model the base
+            # evaluate, the 2(p + 4) parameter probes (grad_params hands the fits on
+            # to each) and the parameter trials get the fits, and the phi trials and
+            # the record get the F4 of the prior the parameter gate kept, and no fits
+            assert all(phi_t is not None for _, phi_t, _, _ in seen)
+            # each call in order: g for grad_phi_total, 4 for an evaluate handed an F4,
+            # e for one that is not
+            calls = "".join("g" if kind == "grad_phi_total" else "e" if f4 is None
+                            else "4" for kind, _, _, f4 in seen)
+            assert re.fullmatch("e{14,15}g4{2,3}" if with_model else "eg4{2,3}", calls), calls
+            for kind, _, fits, f4 in seen:
+                assert (fits is not None) == (with_model and kind == "evaluate" and f4 is None)
+                assert f4 is None or isinstance(f4, float)
 
     @pytest.mark.parametrize("revert", [False, True])
     @pytest.mark.parametrize("with_model", [False, True])
@@ -1187,50 +1197,62 @@ class TestKernelsLeaveInputsUntouched:
         return img, g, model, state
 
     def test_model_grad_phi_total_peak(self, monkeypatch, arc_prior):
-        # 6.09 grids on 128 x 128, all of them the prior warp's, which runs before
-        # the gradient's own arrays exist: a grid held across the warp reads 7.09
+        # 5.02 grids on 128 x 128, after the prior warp, at the gradient's own
+        # arrays with the prior: the rotated warp, which runs before they exist,
+        # peaks at 3.06 grids a quarter of its rows at a time (6.09 when it
+        # sampled half of them, which set this call's peak); the allowance is as
+        # in the prior-free test
         _, g, model, state = arc_prior
         phi_t = energy.phi_terms(state.phi, g, self.W)
         nbytes = state.phi.nbytes
         peak = traced_peak(lambda: descent.grad_phi_total(state, g, model, self.W, phi_t))
-        assert peak <= 6.1 * nbytes, peak / nbytes
-        # after the warp, 5 grids with the prior, so a grid more there fits under the
-        # warp's peak; a copy of the prior in its place shows it (it reads 5 grids
-        # and 1.9 KiB: the allowance is as in the prior-free test)
+        assert peak <= 5 * nbytes + 4096, peak / nbytes
+        # the same with a copy of the prior in the warp's place (it reads 5 grids
+        # and 1.9 KiB), so a grid more after the warp fails either way
         pw = descent.prior_field(model, state.lam, state.pose)
         monkeypatch.setattr(descent, "prior_field", lambda *a: pw.copy())
         peak = traced_peak(lambda: descent.grad_phi_total(state, g, model, self.W, phi_t))
         assert peak <= 5 * nbytes + 4096, peak / nbytes
 
     def test_refresh_approximants_peak(self, arc_prior):
-        # 8.85 grids on 128 x 128; a smooth Heaviside is positive everywhere, so
-        # each solve's box is the whole grid. It read 10.88 when each colour copied
-        # its three weight slices out of the weight crop, and a grid more reads 9.85
+        # 7.37 grids on 128 x 128; a smooth Heaviside is positive everywhere, so
+        # each solve's box is the whole grid. It read 8.85 when the I_out solve's
+        # caller held its weight and each solve held its sweeps' work arrays while
+        # it built its output, and 10.88 when each colour also copied its three
+        # weight slices out of the weight crop. Before Python 3.11 the caller holds
+        # the weight it hands over until the solve returns (HELD_ARGUMENTS), so
+        # there the bound stays 9 grids
         img, g, model, state = arc_prior
         peak = traced_peak(lambda: descent.refresh_approximants(state, img, model, self.W,
                                                                 descent.SWEEPS))
-        assert peak <= 9 * state.phi.nbytes, peak / state.phi.nbytes
+        limit = 7.5 if sys.version_info >= (3, 11) else 9
+        assert peak <= limit * state.phi.nbytes, peak / state.phi.nbytes
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason=HELD_ARGUMENTS)
     def test_model_segment_peak(self, arc_prior):
-        # three steps on the criterion-6 occluded arc: 14.89 grids on 128 x 128, at
-        # Gauss-Seidel. It read 16.92 when segment held the state it handed to step,
-        # which kept the approximants the refresh replaced through the whole step,
-        # and the solver copied its weights out of the weight crop
+        # three steps on the criterion-6 occluded arc: 12.76 grids on 128 x 128.
+        # It read 14.89, at Gauss-Seidel, when the replaced I_in lived through the
+        # I_out solve, the solver held its weight argument and its work arrays to
+        # the end, and a rotated warp sampled half of its rows at a time; and
+        # 16.92 when segment also held the state it handed to step, which kept
+        # the approximants the refresh replaced through the whole step, and the
+        # solver copied its weights out of the weight crop
         _, _, model, _ = arc_prior
         img, _ = synth.render(synth.SceneSpec(width=128, height=128,
                                               shape=("disk", 63.5, 63.5, 20.0),
                                               occlusion=("arc", -np.pi / 6, np.pi / 6)))
         w = EnergyWeights(alpha=2.0, beta=2.5, gamma=0.5)
         peak = traced_peak(lambda: descent.segment(img, model, w, DescentConfig(max_iters=3)))
-        assert peak <= 15 * img.nbytes, peak / img.nbytes
+        assert peak <= 13 * img.nbytes, peak / img.nbytes
 
     def test_breakdown_and_warp(self, scene):
         img, g, model, state, phi_t, fits = scene
         pw = None if model is None else descent.prior_field(model, state.lam, state.pose)
         before = self._inputs(img, g, model, state, phi_t, fits, pw)
         for _ in range(2):
-            energy.breakdown(phi_t, fits, g, pw, self.W)
+            f4 = None if pw is None else energy.energy_f4(fits, pw, self.W)
+            assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
+            energy.breakdown(phi_t, f4, g, pw, self.W)
             assert self._inputs(img, g, model, state, phi_t, fits, pw) == before
         for _ in range(2):   # two warps through one pose
             shape_prior.warp(g, Pose(1.05, 0.1, 0.4, -0.3), 99.0)
@@ -1392,6 +1414,47 @@ class TestCarryAcrossSteps:
         assert state.iter == 3
         # 1 + 2(p + 4) + 2 + 2 + 1 evaluates a step at most, with p = 2
         assert 3 * 16 <= len(freed) <= 3 * 18 and all(freed)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason=HELD_ARGUMENTS)
+    def test_replaced_i_in_freed_before_the_i_out_solve(self, monkeypatch, disk_model):
+        # step hands its state to the refresh, which rebinds it once I_in is
+        # solved, so the I_in it replaces is gone when the I_out solve starts
+        real_solve = descent.solve_smooth_approximant
+        warm, dead = [], []
+
+        def solve(image, wgt, mu, sweeps, start):
+            if len(warm) % 2:
+                dead.append(warm[-1]() is None)
+            warm.append(weakref.ref(start))
+            return real_solve(image, wgt, mu, sweeps, start)
+
+        monkeypatch.setattr(descent, "solve_smooth_approximant", solve)
+        state = descent.segment(self.IMAGE, disk_model, self.W, DescentConfig(max_iters=3))
+        assert state.iter == 3
+        assert dead == [True] * 3
+
+    def test_fits_freed_before_grad_phi_total(self, monkeypatch, disk_model):
+        # the phi trials and the record take F4 from the base or the accepted
+        # parameter trial, so the fits go after the parameter gate
+        g = energy.edge_indicator(self.IMAGE, self.W.eta, self.W.sigma)
+        real_fit, real_grad = energy.fit_terms, descent.grad_phi_total
+        refs, dead = [], []
+
+        def fit_terms(*args):
+            out = real_fit(*args)
+            refs[:] = map(weakref.ref, out)
+            return out
+
+        def grad_phi_total(*args):
+            dead.append(len(refs) == 2 and all(r() is None for r in refs))
+            return real_grad(*args)
+
+        monkeypatch.setattr(energy, "fit_terms", fit_terms)
+        monkeypatch.setattr(descent, "grad_phi_total", grad_phi_total)
+        state = replace(descent.init_state(self.IMAGE, disk_model, self.W), _carry=[])
+        for _ in range(3):
+            state = descent.step(state, self.IMAGE, g, disk_model, self.W, DescentConfig())
+        assert dead == [True] * 3
 
     @pytest.mark.parametrize("with_model", [False, True])
     def test_each_phis_fields_freed_when_the_next_are_computed(self, monkeypatch, disk_model,

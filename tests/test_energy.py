@@ -179,8 +179,9 @@ class TestKernelPeaks:
         # 1.34 grids: the result, the band mask and the band's values (2.54 with
         # |z/eps| and erf's values held beside them)
         (lambda phi, g, w: energy.heaviside_eps(phi, w.eps), 1.75),
-        # 1.26: the result and two masks (2.26 with a separate exp buffer)
-        (lambda phi, g, w: energy.dirac_eps(phi, w.eps), 1.3),
+        # 1.14: the result and one mask (1.26 with two masks held at once, 2.26
+        # with a separate exp buffer)
+        (lambda phi, g, w: energy.dirac_eps(phi, w.eps), 1.15),
         # 1.34: H(-phi) built in the buffer of -phi (3.55 with a second grid)
         (lambda phi, g, w: energy.energy_f3(phi, g, w), 1.75),
         # 3.34: |grad phi| and dirac(phi), kept, and F3's 1.34 (5.55 at most before)
@@ -386,22 +387,25 @@ class TestBreakdown:
                              for k in ("alpha", "xi", "gamma", "beta", "nu", "zeta")})
         # phi_terms' prior-free F2 is not the F2 of a breakdown with a prior
         f2_free = float(r.uniform(0, 1e3))
-        bd = energy.breakdown((m, d, f1, f3, f2_free), (fit_in, fit_out), g, prior, w)
+        got_f4 = energy.energy_f4((fit_in, fit_out), prior, w)
+        bd = energy.breakdown((m, d, f1, f3, f2_free), got_f4, g, prior, w)
         f2 = float(np.sum((w.xi * g + 0.5 * w.gamma * prior ** 2) * d * m))
         h_in = energy.heaviside_eps(-prior, w.eps)
         f4 = (float(np.sum(fit_in * h_in + fit_out * (1.0 - h_in)))
               + w.zeta * energy.curve_length(prior, w.eps))
         total = 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4
+        assert got_f4.hex() == f4.hex()
         assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
             [v.hex() for v in (f1, f2, f3, f4, total)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_prior_free_takes_f2_from_phi_terms(self, seed):
         # without a prior, breakdown reads no field: F2 is phi_t's, F4 is 0
+        # whatever F4 it is handed
         r = np.random.default_rng(seed)
-        f1, f3, f2 = (float(v) for v in r.uniform(0, 1e3, size=3))
+        f1, f3, f2, f4 = (float(v) for v in r.uniform(0, 1e3, size=4))
         w = EnergyWeights(**{k: float(r.uniform(0.1, 3.0)) for k in ("alpha", "beta", "nu")})
-        bd = energy.breakdown((None, None, f1, f3, f2), None, None, None, w)
+        bd = energy.breakdown((None, None, f1, f3, f2), f4, None, None, w)
         total = 0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * 0.0
         assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
             [v.hex() for v in (f1, f2, f3, 0.0, total)]

@@ -376,8 +376,8 @@ class TestWarp:
                                       Pose(shape_prior.TAU_MAX, 1e-3, -13.25, 7.5),
                                       Pose(shape_prior.TAU_MIN, np.pi, 40.0, -90.0)])
     def test_rotated_warp_in_row_halves_equals_one_sample(self, rng, h, pose):
-        # the row halves (one of them empty when h = 1) against one sample of the
-        # whole grid's coordinates, with samples on and beyond the grid
+        # the row quarters (some of them empty when h < 4) against one sample of
+        # the whole grid's coordinates, with samples on and beyond the grid
         for w in (1, 6, 128):
             f = rng.normal(size=(h, w))
             want = field.bilinear_sample(f, *self._reference_coords(f.shape, pose), 7.5)
@@ -410,9 +410,18 @@ class TestWarp:
             kept = self._traced(lambda: shape_prior.warp(f, pose, 7.5))[0]
             assert kept <= 4096, kept
 
+    def test_rotated_warp_peak(self, rng):
+        # 3.06 grids on 128 x 128 at theta = 0.1: the result, and a quarter of
+        # the rows' coordinates, corners, fractions and sample work arrays at a
+        # time (5.08 with half of the rows at a time)
+        f = rng.normal(size=(128, 128))
+        peak = traced_peak(lambda: shape_prior.warp(f, Pose(1.0, 0.1, 0.0, 0.0), 7.5))
+        assert peak <= 3.1 * f.nbytes, peak / f.nbytes
+
     def test_rotated_warp_peak_near_unrotated(self, rng):
-        # a rotated warp holds half its full-grid geometry at a time; in one piece
-        # its peak was about twice an unrotated warp's (948 against 470 KiB)
+        # a rotated warp holds a quarter of its full-grid geometry at a time; in
+        # one piece its peak was about twice an unrotated warp's (948 against
+        # 470 KiB)
         f, small = rng.normal(size=(128, 128)), rng.normal(size=(8, 8))
         peaks = []
         for pose in (Pose(1.1, 0.0, 1.5, -2.0), Pose(1.1, 0.3, 1.5, -2.0)):
