@@ -33,6 +33,7 @@ long after the contour has settled. A prior-free run also stops once a phi
 step reverts from rest, since every later step would repeat it.
 """
 
+from array import array
 from dataclasses import dataclass, field as dc_field, replace
 from typing import List, Optional
 
@@ -174,7 +175,8 @@ def grad_phi_total(state: SegmentationState, g, model, w: EnergyWeights,
         gx *= scale
         gy *= scale
         del scale
-        out = field.divergence(gx, gy)
+        # the y-differences in gx's first rows, which the x-part has finished reading
+        out = field._divergence(gx, gy, gx[:-2])
         np.negative(out, out=out)
         del gx, gy
         # d(dirac(phi))/dphi in F2: f2w * dp * m, dp = -2*phi/eps^2 * dirac
@@ -288,8 +290,8 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     would too, and the solve returns. Red reads only black and black only
     red, so it is enough that a sweep leaves black's bytes as they were
     (then the next red half, and with it the next black half, repeat this
-    one's). The bytes are compared, so -0.0 against 0.0 and a changed NaN
-    payload count as changes, and a NaN that is truly fixed counts as fixed.
+    one's). The bit patterns are compared, so -0.0 against 0.0 and a changed
+    NaN payload count as changes, and a NaN that is truly fixed counts as fixed.
     The test runs after sweeps 1, 4, 16, 64, ..., so a solve that never
     settles pays for a few comparisons, not one per sweep. A negative
     ``sweeps`` raises ValueError.
@@ -363,14 +365,15 @@ def _sweep(colours, mu: float, sweeps: int) -> None:
     left and upper neighbours), the weighted image, the three weight views,
     the diagonal and the mask of the pixels solved.
     """
-    # stop at the fixed point (see solve_smooth_approximant): black's bytes before
+    # stop at the fixed point (see solve_smooth_approximant): black's bits before
     # and after sweeps 1, 4, 16, 64, ...
     black, check = colours[1][0][0], 1
-    # two work arrays for the right-hand side, shared by both colours
-    rhs, t = np.empty((2, black.size))
+    # two work arrays for the right-hand side, shared by both colours, and the one
+    # copy of black that the fixed-point test retakes in place
+    rhs, t, before = np.empty((3, black.size))
     for k in range(1, sweeps + 1):
         if k == check:
-            before = black.tobytes()
+            np.copyto(before, black)
         for (j, jr, jd, jl, ju), wi, wg, wl, wu, diag, pos in colours:
             # rhs = wi + mu*(wg*(jr + jd) + wl*jl + wu*ju), in place
             np.add(jr, jd, out=rhs)
@@ -381,7 +384,8 @@ def _sweep(colours, mu: float, sweeps: int) -> None:
             rhs += wi
             np.divide(rhs, diag, out=j, where=pos)
         if k == check:
-            if black.tobytes() == before:
+            # bit patterns, so -0.0 against 0.0 and a changed NaN payload differ
+            if np.array_equal(black.view(np.uint64), before.view(np.uint64)):
                 return
             check *= 4
 
@@ -488,6 +492,9 @@ def step(state: SegmentationState, image, g, model, w: EnergyWeights,
     else:
         move = MOMENTUM * state.velocity
         move -= gphi
+        # nothing reads the base's velocity again (a revert restarts), so it goes
+        # before the trials' fields are made
+        state = replace(state, velocity=None)
     del gphi
 
     def trial_at(s):
@@ -575,13 +582,16 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
     # replaces are freed when it replaces them (from Python 3.11, where a call owns
     # its arguments; before, the caller holds them until the call returns)
     held = [replace(init_state(image, model, w), _carry=[])]
-    # the run's records; each step gets a state without them, so it copies no history
-    trace = []
+    # the run's records as raw floats, five a step (f1, f2, f3, f4, total): 40 bytes
+    # where an EnergyBreakdown takes about 200. Each step gets a state without
+    # them, so it copies no history
+    record = array("d")
     for _ in range(cfg.max_iters):
         # the two facts the stall rule reads of the state a step starts from
         phi, rested = held[0].phi, held[0].velocity is None
         held.append(step(replace(held.pop(), trace=[]), image, g, model, w, cfg))
-        trace += held[0].trace
+        for bd in held[0].trace:
+            record.extend((bd.f1, bd.f2, bd.f3, bd.f4, bd.total))
         if held[0].phi_grad_rms < STATIONARY_RMS:
             reason = "stationary"
             break
@@ -589,6 +599,7 @@ def segment(image: np.ndarray, model: Optional[ShapeModel], w: EnergyWeights,
         if model is None and rested and held[0].phi is phi:
             reason = "stalled"
             break
+    trace = [EnergyBreakdown(*record[i:i + 5]) for i in range(0, len(record), 5)]
     return replace(held.pop(), trace=trace, stop_reason=reason, _carry=None)
 
 
@@ -609,6 +620,8 @@ def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:
     q = np.clip(phi, -1e150, 1e150)     # q * q cannot overflow; no bit moves below 1e150
     s = q / np.sqrt(q * q + 1.0)
     sign = np.sign(s)
+    # the loop's invariant operands, each the value the written-out formula makes
+    neg, dts = -sign, dt * s
     h, w = phi.shape
     # entry k holds phi[k] - phi[k-1]: backward at k, forward at k-1; ends stay 0
     dx, dy = np.zeros((h, w + 1)), np.zeros((h + 1, w))
@@ -616,9 +629,9 @@ def reinitialize(phi0: np.ndarray, iters: int) -> np.ndarray:
         for _ in range(iters):
             np.subtract(phi[:, 1:], phi[:, :-1], out=dx[:, 1:-1])
             np.subtract(phi[1:], phi[:-1], out=dy[1:-1])
-            gx = np.maximum(np.maximum(sign * dx[:, :-1], -sign * dx[:, 1:]), 0.0)
-            gy = np.maximum(np.maximum(sign * dy[:-1], -sign * dy[1:]), 0.0)
-            phi = phi - dt * s * (np.sqrt(gx * gx + gy * gy) - 1.0)
+            gx = np.maximum(np.maximum(sign * dx[:, :-1], neg * dx[:, 1:]), 0.0)
+            gy = np.maximum(np.maximum(sign * dy[:-1], neg * dy[1:]), 0.0)
+            phi = phi - dts * (np.sqrt(gx * gx + gy * gy) - 1.0)
     if not np.all(np.isfinite(phi)):
         raise NumericalAbort("non-finite re-initialized field")
     return phi

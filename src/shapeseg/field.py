@@ -1,8 +1,8 @@
 """2D scalar-field calculus: gradients, divergence, smoothing, interpolation, TV.
 
 Fields are 2D float64 numpy arrays of shape (height, width) with unit grid
-spacing. The x axis is the column index, y the row index. All operations are
-pure functions; none mutate their inputs.
+spacing. The x axis is the column index, y the row index. All public
+operations are pure functions; none mutate their inputs.
 
 The discrete gradient uses forward differences with a zero last column/row
 (replicate boundary), and ``divergence`` is its exact negative adjoint under
@@ -80,6 +80,16 @@ def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     the x-differences are one subtraction over the raveled grid whose
     row-crossing entries are overwritten, and no overflow warns.
     """
+    return _divergence(vx, vy, None)
+
+
+def _divergence(vx: np.ndarray, vy: np.ndarray, work) -> np.ndarray:
+    """:func:`divergence`, with the y-differences written into ``work`` when given.
+
+    ``work`` is an (h - 2) x w array of ``vy``'s dtype, or None for a fresh
+    temporary. It may be the first h - 2 rows of a C-ordered ``vx``: every read
+    of ``vx`` comes before the y-differences are written.
+    """
     if vx.shape != vy.shape:
         raise ValueError(f"component shapes differ: {vx.shape} vs {vy.shape}")
     _check_differentiable(vx)
@@ -94,7 +104,7 @@ def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         # the 0 + x-part (-0.0 becomes 0.0), in place; an integer 0 keeps integer dtypes
         d += 0
         d[0, :] += vy[0, :]
-        d[1:-1, :] += vy[1:-1, :] - vy[:-2, :]
+        d[1:-1, :] += np.subtract(vy[1:-1, :], vy[:-2, :], out=work)
         d[-1, :] += -vy[-2, :]
     return d
 
