@@ -179,11 +179,8 @@ def grad_phi_total(state: SegmentationState, g, model, w: EnergyWeights,
         out = field._divergence(gx, gy, gx[:-2])
         np.negative(out, out=out)
         del gx, gy
-        # d(dirac(phi))/dphi in F2: f2w * dp * m, dp = -2*phi/eps^2 * dirac
-        # (energy.dirac_eps_prime, from d)
-        dp = -2.0 * phi
-        dp /= w.eps * w.eps
-        dp *= d
+        # d(dirac(phi))/dphi in F2: f2w * dirac'(phi) * m
+        dp = energy.dirac_eps_prime(phi, w.eps, d)
         dp *= energy.f2_weight(g, pw, w)
         dp *= m
         out += dp
@@ -398,9 +395,7 @@ def refresh_approximants(state: SegmentationState, image, model,
     only reference to it (as ``step`` does) has the replaced I_in freed before
     the I_out solve (from Python 3.11; see :func:`segment`).
     """
-    # H(-prior) in the buffer of -prior
-    wgt = -prior_field(model, state.lam, state.pose)
-    wgt = energy.heaviside_eps(wgt, w.eps, out=wgt)
+    wgt = energy.inside(prior_field(model, state.lam, state.pose), w.eps)
     state = replace(state, i_in=solve_smooth_approximant(image, wgt, w.mu, sweeps, state.i_in))
     # 1 - wgt in wgt's buffer, so the I_out solve holds one weight field, not two;
     # handed over in a one-slot list, so the solve frees it once it has the crop
@@ -551,8 +546,7 @@ def init_state(image: np.ndarray, model: Optional[ShapeModel],
     lam = np.zeros(model.p)
     pose = Pose()
     pw = prior_field(model, lam, pose)
-    wgt = -pw
-    wgt = energy.heaviside_eps(wgt, w.eps, out=wgt)
+    wgt = energy.inside(pw, w.eps)
     m_in = float(np.sum(wgt * image) / max(np.sum(wgt), 1e-12))
     m_out = float(np.sum((1 - wgt) * image) / max(np.sum(1 - wgt), 1e-12))
     return SegmentationState(phi=pw.copy(), lam=lam, pose=pose,

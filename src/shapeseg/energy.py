@@ -162,10 +162,18 @@ def dirac_eps(z, eps: float):
     return s[()]    # a scalar for a scalar z
 
 
-def dirac_eps_prime(z, eps: float):
-    """d/dz of dirac_eps."""
-    z = np.asarray(z, dtype=np.float64)
-    return -2.0 * z / (eps * eps) * dirac_eps(z, eps)
+def dirac_eps_prime(z, eps: float, d):
+    """d/dz of dirac_eps, -2z/eps^2 * d, from d = dirac_eps(z, eps); in one new buffer."""
+    dp = np.multiply(-2.0, z, dtype=np.float64)
+    dp /= eps * eps
+    dp *= d
+    return dp
+
+
+def inside(f, eps: float):
+    """H_eps(-f), the smooth indicator of f < 0, built in the buffer of -f."""
+    h = np.negative(f)
+    return heaviside_eps(h, eps, out=h)
 
 
 def smooth_grad_magnitude(f: np.ndarray) -> np.ndarray:
@@ -211,9 +219,7 @@ def energy_f3(phi: np.ndarray, g: np.ndarray, w: EnergyWeights) -> float:
     """Edge-weighted area of the interior: sum of g * H_eps(-phi)."""
     if phi.shape != g.shape:
         raise ValueError("field dimensions differ")
-    # H(-phi) in the buffer of -phi
-    h = np.negative(phi)
-    h = heaviside_eps(h, w.eps, out=h)
+    h = inside(phi, w.eps)
     h *= g
     return float(np.sum(h))
 
@@ -247,12 +253,18 @@ def fit_terms(image: np.ndarray, i_in: np.ndarray, i_out: np.ndarray,
     return smooth_fit(image, i_in, w.mu), smooth_fit(image, i_out, w.mu)
 
 
+def _f2_sum(f2w: np.ndarray, d, m) -> float:
+    """F2 from its weight (a fresh array, used as the buffer), dirac(phi) and |grad phi|."""
+    f2w *= d
+    f2w *= m
+    return float(np.sum(f2w))
+
+
 def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
     """The fields and terms that depend on phi alone: (|grad phi|, dirac(phi), F1, F3, F2).
 
     F1 is the sum over pixels of (|grad phi| - 1)^2, and F2 is the prior-free
-    one, the sum of (xi*g)*dirac(phi)*|grad phi| in the order
-    :func:`breakdown` multiplies a weight by them.
+    one, summed as :func:`breakdown` sums a prior's.
     """
     if phi.shape != g.shape:
         raise ValueError("field dimensions differ")
@@ -261,12 +273,9 @@ def phi_terms(phi: np.ndarray, g: np.ndarray, w: EnergyWeights):
     dev = m - 1.0
     dev *= dev
     f1 = float(np.sum(dev))
-    # F2 in F1's buffer, free once F1 is summed, and freed before F3's temporaries
-    np.multiply(w.xi, g, out=dev)
-    dev *= d
-    dev *= m
-    f2 = float(np.sum(dev))
+    # F1's buffer goes before F2's weight is made, and F2's before F3's temporaries
     del dev
+    f2 = _f2_sum(f2_weight(g, None, w), d, m)
     return m, d, f1, energy_f3(phi, g, w), f2
 
 
@@ -282,8 +291,7 @@ def energy_f4(fits, prior_warped, w: EnergyWeights) -> float:
         raise ValueError("field dimensions differ")
     # fit_in*h_in + fit_out*(1 - h_in), built in the buffer of -prior_warped;
     # the fits may be the caller's and stay untouched
-    h_in = np.negative(prior_warped)
-    h_in = heaviside_eps(h_in, w.eps, out=h_in)
+    h_in = inside(prior_warped, w.eps)
     fit = fit_in * h_in
     np.subtract(1.0, h_in, out=h_in)
     h_in *= fit_out
@@ -307,11 +315,8 @@ def breakdown(phi_t, f4: float, g: np.ndarray, prior_warped,
     if prior_warped is None:
         f4 = 0.0
     else:
-        # f2_weight's array is fresh; d and m may be the caller's and stay untouched
-        f2w = f2_weight(g, prior_warped, w)
-        f2w *= d
-        f2w *= m
-        f2 = float(np.sum(f2w))
+        # d and m may be the caller's and stay untouched
+        f2 = _f2_sum(f2_weight(g, prior_warped, w), d, m)
     return EnergyBreakdown(f1=f1, f2=f2, f3=f3, f4=f4,
                            total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 

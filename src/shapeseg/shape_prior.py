@@ -80,22 +80,21 @@ class Pose:
 def warp(f: np.ndarray, pose: Pose, outside: float) -> np.ndarray:
     """Resample ``f`` through the rigid map h(x) = tau*R(x - c) + c + T, c the domain centre.
 
-    An unrotated map's coordinates are a row and a column, sampled in one
-    piece. A rotated map's are full grids, so they are made and sampled a
-    quarter of the rows at a time into one output, and at most a quarter of
-    them are held at once.
+    The rows are sampled in blocks into one output. An unrotated map's
+    coordinates are a row and a column, so its rows are one block. A rotated
+    map's are full grids, so its rows are four blocks, and at most a quarter
+    of its coordinates are held at once.
     """
-    if pose.theta == 0.0:
-        return field.bilinear_sample(f, *_warp_coords(f.shape, pose), outside)
     h = f.shape[0]
+    blocks = 1 if pose.theta == 0.0 else 4
     out = np.empty(f.shape, f.dtype)
-    for k in range(4):
-        rows = slice(k * h // 4, (k + 1) * h // 4)
+    for k in range(blocks):
+        rows = slice(k * h // blocks, (k + 1) * h // blocks)
         field.bilinear_sample(f, *_warp_coords(f.shape, pose, rows), outside, out=out[rows])
     return out
 
 
-def _warp_coords(shape, pose: Pose, rows: slice = slice(None)):
+def _warp_coords(shape, pose: Pose, rows: slice):
     """(hx, hy), where a pose's map sends ``rows`` of a grid of ``shape``.
 
     An unrotated map keeps hx a row and hy a column.

@@ -105,7 +105,8 @@ class TestHeavisideDirac:
         z = rng.normal(scale=3, size=500)
         h = 1e-6
         fd = (energy.dirac_eps(z + h, 1.5) - energy.dirac_eps(z - h, 1.5)) / (2 * h)
-        assert np.max(np.abs(fd - energy.dirac_eps_prime(z, 1.5))) < 1e-6
+        dp = energy.dirac_eps_prime(z, 1.5, energy.dirac_eps(z, 1.5))
+        assert np.max(np.abs(fd - dp)) < 1e-6
 
     def test_dirac_huge_argument_is_silent_and_exact(self, recwarn):
         z = np.array([1e155, -1e155, 1e300, -1e300, np.inf, -np.inf, 41.9, 42.0, 42.1,
