@@ -122,21 +122,16 @@ def evaluate(state: SegmentationState, image, g, model, w: EnergyWeights,
              phi_t=None, fits=None, f4=None) -> EnergyBreakdown:
     """Total energy of a state; prior-free when model is None.
 
-    ``phi_t`` and ``fits`` are the state's :func:`energy.phi_terms` and
-    :func:`energy.fit_terms`, and ``f4`` its :func:`energy.energy_f4`, which
-    ``step`` computes once and hands down (only its carry crosses steps); each
-    one left None is computed here, and ``fits`` only when ``f4`` is.
+    Warps the state's prior, composes the terms through
+    :func:`energy.total_energy` and checks each one for finiteness.
+    ``phi_t``, ``fits`` and ``f4`` go on to that call: ``step`` computes each
+    once and hands it down (only its carry crosses steps).
     """
     # every term is checked below, so NumPy's overflow warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
         pw = None if model is None else prior_field(model, state.lam, state.pose)
-        if pw is not None and f4 is None:
-            if fits is None:
-                fits = energy.fit_terms(image, state.i_in, state.i_out, w)
-            f4 = energy.energy_f4(fits, pw, w)
-            # F4's fields go before phi's are made
-            del fits
-        bd = energy.breakdown(phi_t or energy.phi_terms(state.phi, g, w), f4, g, pw, w)
+        bd = energy.total_energy(state.phi, image, g, pw, state.i_in, state.i_out, w,
+                                 phi_t, fits, f4)
     for name in ("f1", "f2", "f3", "f4", "total"):
         if not np.isfinite(getattr(bd, name)):
             raise NumericalAbort(f"non-finite energy term {name}")
@@ -176,7 +171,7 @@ def grad_phi_total(state: SegmentationState, g, model, w: EnergyWeights,
         gy *= scale
         del scale
         # the y-differences in gx's first rows, which the x-part has finished reading
-        out = field._divergence(gx, gy, gx[:-2])
+        out = field.divergence(gx, gy, gx[:-2])
         np.negative(out, out=out)
         del gx, gy
         # d(dirac(phi))/dphi in F2: f2w * dirac'(phi) * m
@@ -293,8 +288,9 @@ def solve_smooth_approximant(image: np.ndarray, wgt: np.ndarray, mu: float,
     settles pays for a few comparisons, not one per sweep. A negative
     ``sweeps`` raises ValueError.
     """
-    if mu < 0:
-        raise ValueError("mu must be non-negative")
+    # a chained comparison is False for NaN, so NaN fails it
+    if not 0 <= mu < np.inf:
+        raise ValueError("mu must be non-negative and finite")
     if sweeps < 0:
         raise ValueError("sweeps must be non-negative")
     h, w = image.shape

@@ -68,7 +68,7 @@ class EnergyWeights:
     mu: float = 1.0        # smoothness weight inside F4
     zeta: float = 0.1      # contour length weight inside F4
     eta: float = 10.0      # edge indicator contrast
-    sigma: float = 1.5     # Gaussian pre-smoothing std dev
+    sigma: float = 1.5     # Gaussian pre-smoothing variance (std dev sqrt(sigma))
     eps: float = 1.5       # Heaviside/Dirac regularization width
 
     def __post_init__(self):
@@ -194,8 +194,9 @@ def edge_indicator(image: np.ndarray, eta: float, sigma: float) -> np.ndarray:
     the kernel by its variance), so the kernel's standard deviation is
     sqrt(sigma).
     """
-    if eta <= 0 or sigma <= 0:
-        raise ValueError("eta and sigma must be positive")
+    # chained comparisons are False for NaN, so NaN fails them
+    if not (0 < eta < np.inf and 0 < sigma < np.inf):
+        raise ValueError("eta and sigma must be positive and finite")
     smoothed = field.gaussian_convolve(image, float(np.sqrt(sigma)))
     gx, gy = field.grad(smoothed)
     # an eta*|grad|^2 that overflows to inf gives the exact limit g = 0
@@ -321,13 +322,18 @@ def breakdown(phi_t, f4: float, g: np.ndarray, prior_warped,
                            total=0.5 * w.alpha * f1 + f2 + w.beta * f3 + w.nu * f4)
 
 
-def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray,
-                 prior_warped, i_in, i_out, w: EnergyWeights) -> EnergyBreakdown:
+def total_energy(phi: np.ndarray, image: np.ndarray, g: np.ndarray, prior_warped, i_in,
+                 i_out, w: EnergyWeights, phi_t=None, fits=None, f4=None) -> EnergyBreakdown:
     """Evaluate every term and the composed total.
 
     ``prior_warped`` of None selects the prior-free reduction: F2 carries only
     the edge weight and F4 is dropped entirely (reported as 0).
+
+    ``phi_t`` is phi's :func:`phi_terms`, ``fits`` the approximants'
+    :func:`fit_terms` and ``f4`` their :func:`energy_f4` under the prior, for a
+    caller that already holds them; each one left None is computed here,
+    ``fits`` only when ``f4`` is. F4's fields go before phi's are made.
     """
-    f4 = None if prior_warped is None else energy_f4(fit_terms(image, i_in, i_out, w),
-                                                     prior_warped, w)
-    return breakdown(phi_terms(phi, g, w), f4, g, prior_warped, w)
+    if prior_warped is not None and f4 is None:
+        f4 = energy_f4(fits or fit_terms(image, i_in, i_out, w), prior_warped, w)
+    return breakdown(phi_t or phi_terms(phi, g, w), f4, g, prior_warped, w)

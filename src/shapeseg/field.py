@@ -69,7 +69,7 @@ def grad_magnitude(f: np.ndarray) -> np.ndarray:
     return np.sqrt(gx * gx + gy * gy)
 
 
-def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+def divergence(vx: np.ndarray, vy: np.ndarray, work=None) -> np.ndarray:
     """Backward-difference divergence, the exact negative adjoint of grad.
 
     The last column of ``vx`` and last row of ``vy`` never enter (grad puts
@@ -79,16 +79,11 @@ def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     (0 + x-part) + y-part, so no float result is -0.0. As in :func:`grad`,
     the x-differences are one subtraction over the raveled grid whose
     row-crossing entries are overwritten, and no overflow warns.
-    """
-    return _divergence(vx, vy, None)
 
-
-def _divergence(vx: np.ndarray, vy: np.ndarray, work) -> np.ndarray:
-    """:func:`divergence`, with the y-differences written into ``work`` when given.
-
-    ``work`` is an (h - 2) x w array of ``vy``'s dtype, or None for a fresh
-    temporary. It may be the first h - 2 rows of a C-ordered ``vx``: every read
-    of ``vx`` comes before the y-differences are written.
+    The y-differences are written into ``work`` when given: an (h - 2) x w
+    array of ``vy``'s dtype, or None for a fresh temporary. It may be the
+    first h - 2 rows of a C-ordered ``vx``: every read of ``vx`` comes before
+    the y-differences are written.
     """
     if vx.shape != vy.shape:
         raise ValueError(f"component shapes differ: {vx.shape} vs {vy.shape}")

@@ -166,20 +166,25 @@ def build_shape_model(sdfs, p: int) -> ShapeModel:
     gram = stack @ stack.T
     evals, evecs = np.linalg.eigh(gram)              # ascending
     order = np.argsort(evals)[::-1][:p]
-    evals = np.maximum(evals[order], 0.0)
+    # an eigenvalue within the tolerance numpy.linalg.matrix_rank applies to the
+    # Gram matrix is rounding (repeated training shapes leave such directions),
+    # so it counts as 0 and its mode takes the fallback below
+    tol = n * np.finfo(np.float64).eps * evals[-1]
+    evals = evals[order]
+    evals[evals <= tol] = 0.0
 
     modes = np.empty((p, stack.shape[1]))
     for k in range(p):
-        u = stack.T @ evecs[:, order[k]]
-        norm = float(np.sqrt(np.sum(u * u)))   # fixed order: no threaded BLAS
-        if norm <= 1e-12:
+        if evals[k] == 0.0:
             # zero-spread direction: fall back to an arbitrary unit vector
             # orthogonal to the ones already chosen
             u = np.zeros(stack.shape[1])
             u[k] = 1.0
             for j in range(k):
                 u -= np.sum(u * modes[j]) * modes[j]
-            norm = float(np.sqrt(np.sum(u * u)))
+        else:
+            u = stack.T @ evecs[:, order[k]]
+        norm = float(np.sqrt(np.sum(u * u)))   # fixed order: no threaded BLAS
         modes[k] = u / norm
 
     return ShapeModel(

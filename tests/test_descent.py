@@ -314,10 +314,12 @@ class TestSolveSmoothApproximant:
         want = self._scalar_red_black(img, wgt, mu, 4, warm)
         assert np.array_equal(got, want) and got is not warm
 
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
+    # NaN once returned the warm start and inf an all-NaN field
+    @pytest.mark.parametrize("mu", [-1.0, np.nan, np.inf])
+    def test_negative_or_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu"):
             descent.solve_smooth_approximant(np.zeros((4, 4)), np.ones((4, 4)),
-                                             -1.0, 1, np.zeros((4, 4)))
+                                             mu, 1, np.zeros((4, 4)))
 
 
 def assert_matches_reference(img, wgt, mu, warm, sweeps):
@@ -1112,6 +1114,28 @@ class TestFieldsComputedOncePerStep:
             for kind, _, fits, f4 in seen:
                 assert (fits is not None) == (with_model and kind == "evaluate" and f4 is None)
                 assert f4 is None or isinstance(f4, float)
+
+    @pytest.mark.parametrize("with_model", [False, True])
+    def test_each_layer_runs_through_its_public_home(self, monkeypatch, disk_model,
+                                                     with_model):
+        # every evaluate composes through energy.total_energy, once, and every phi
+        # gradient takes field.divergence, once, so the layers a traced run times
+        # are the code the step runs
+        img, g, model, state = self._scene(disk_model, with_model)
+        calls = []
+        for module, name in ((descent, "evaluate"), (energy, "total_energy"),
+                             (descent, "grad_phi_total"), (field, "divergence")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        home = {"evaluate": "total_energy", "grad_phi_total": "divergence"}
+        for _ in range(3):
+            del calls[:]
+            state = descent.step(state, img, g, model, self.W, DescentConfig())
+            assert calls[1::2] == [home[c] for c in calls[::2]], calls
+            assert calls.count("grad_phi_total") == 1
+            assert calls.count("evaluate") >= (17 if with_model else 3)
 
     @pytest.mark.parametrize("revert", [False, True])
     @pytest.mark.parametrize("with_model", [False, True])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -217,6 +219,14 @@ class TestEdgeIndicator:
         col_min = g[16].argmin()
         assert g[16].min() < 0.5
         assert abs(col_min - 31.5) <= 1.0
+
+    @pytest.mark.parametrize("eta, sigma", [
+        (0.0, 1.5), (-1.0, 1.5), (np.nan, 1.5), (np.inf, 1.5),
+        (10.0, 0.0), (10.0, -1.0), (10.0, np.nan), (10.0, np.inf),
+    ])
+    def test_eta_and_sigma_must_be_positive_and_finite(self, eta, sigma):
+        with pytest.raises(ValueError, match="eta and sigma"):
+            energy.edge_indicator(np.zeros((16, 16)), eta, sigma)
 
     def test_eta_formula_recomputation(self, rng):
         # doubling eta reproduces 1/(1 + 2*eta*|.|^2) computed directly
@@ -500,6 +510,31 @@ class TestTotalEnergy:
         bd = energy.total_energy(phi, img, g, prior, i_in, i_out, W)
         assert [v.hex() for v in (bd.f1, bd.f2, bd.f3, bd.f4, bd.total)] == \
             [v.hex() for v in (f1, f2, f3, f4, total)]
+
+    @pytest.mark.parametrize("handed", list(itertools.product([False, True], repeat=3)),
+                             ids=lambda h: "".join("h" if x else "-" for x in h))
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_handed_fields_give_the_same_bytes(self, rng, with_prior, handed):
+        # phi_t, fits and f4 are what a caller that already holds them hands over;
+        # each one left None is computed, so every mix gives the same record and
+        # leaves the handed fields as they were
+        phi = disk_sdf(24, 20, 9.8, 11.1, 5.5) + 0.3 * rng.normal(size=(24, 20))
+        img = rng.uniform(0, 255, size=phi.shape)
+        g = energy.edge_indicator(img, W.eta, W.sigma)
+        prior = disk_sdf(24, 20, 9.3, 11.6, 6.2) if with_prior else None
+        i_in = rng.uniform(0, 255, size=phi.shape)
+        i_out = rng.uniform(0, 255, size=phi.shape)
+        phi_t = energy.phi_terms(phi, g, W)
+        fits = energy.fit_terms(img, i_in, i_out, W)
+        f4 = None if prior is None else energy.energy_f4(fits, prior, W)
+        fields = [*phi_t[:2], *fits]
+        before = [a.tobytes() for a in fields]
+        want = energy.total_energy(phi, img, g, prior, i_in, i_out, W)
+        got = energy.total_energy(phi, img, g, prior, i_in, i_out, W,
+                                  *(a if h else None for a, h in zip((phi_t, fits, f4), handed)))
+        assert [v.hex() for v in (got.f1, got.f2, got.f3, got.f4, got.total)] == \
+            [v.hex() for v in (want.f1, want.f2, want.f3, want.f4, want.total)]
+        assert [a.tobytes() for a in fields] == before
 
 
 class TestWeightsValidation:

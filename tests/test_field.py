@@ -197,7 +197,7 @@ class TestGradDivergenceLayout:
             vx, vy = _layouts(shape, np.float64, r)["C"], _layouts(shape, np.float64, r)["C"]
             with np.errstate(all="ignore"):
                 want = field.divergence(vx, vy)
-                got = field._divergence(vx, vy, vx[:-2])
+                got = field.divergence(vx, vy, vx[:-2])
             self._same(got, want)
 
     def test_silent_on_row_crossing_overflow(self, recwarn):

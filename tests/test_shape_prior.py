@@ -138,6 +138,19 @@ class TestBuildShapeModel:
         model = shape_prior.build_shape_model([s.copy() for _ in range(4)], p=2)
         assert np.all(model.variances <= 1e-10)
 
+    def test_repeated_training_shapes(self):
+        # six disks with each radius twice span two directions; the other three
+        # eigenpairs of the Gram matrix are rounding, which must not become modes
+        sdfs = [shape_prior.sdf_from_mask(disk_mask(128, 128, 63.5, 63.5, r))
+                for r in (14, 16, 18, 14, 16, 18)]
+        model = shape_prior.build_shape_model(sdfs, p=5)
+        m = model.modes.reshape(5, -1)
+        assert np.max(np.abs(m @ m.T - np.eye(5))) < 1e-12
+        assert np.all(model.variances[2:] == 0)
+        for s in sdfs:
+            rec = shape_prior.synthesize_shape(model, model.project(s))
+            assert np.max(np.abs(rec - s)) < 1e-10
+
     def test_mode_orthonormality(self):
         model = shape_prior.build_shape_model(ellipse_sdfs(n=8), p=5)
         g = model.modes.reshape(5, -1) @ model.modes.reshape(5, -1).T
